@@ -6,15 +6,15 @@ border, 8-bit hash shift), the preprocessing that feeds them, corpus
 generators and a small benchmark harness.  See the README for the CLI.
 """
 
-from .bench import ALGORITHMS, BenchSpec, EmbedSource, FibonacciSource, \
-    FileSource, ReportRow, emit_report, run_benchmark
+from .bench import BenchSpec, EmbedSource, FibonacciSource, FileSource, \
+    ReportRow, emit_report, run_benchmark
 from .corpus import CorpusSpec, GeneratedCorpus, alphabet_bytes, \
     fibonacci_string, load_text, random_text_with_occurrences, sample_patterns
 from .errors import BenchmarkError, ConfigurationError, Error, GenerationError
 from .hashing import MAX_Q, MOD8, MOD16, RollContext, qgram_hash8, \
     qgram_hash16, roll_hash16
-from .matchers import SearchOutcome, SearchStats, SearchTrace, distq_search, \
-    hashq_search, kmp_search, ldistq_search, naive_search
+from .matchers import ALGORITHMS, SearchOutcome, SearchStats, SearchTrace, \
+    distq_search, hashq_search, kmp_search, ldistq_search, naive_search
 from .preprocess import PatternProfile, build_profile, dist_table, \
     hq_shift_table, kmp_shift_table, strong_border_table
 

@@ -17,19 +17,13 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from time import perf_counter
 
 from .corpus import CorpusSpec, load_text, fibonacci_string, \
     random_text_with_occurrences, sample_patterns
 from .errors import BenchmarkError, ConfigurationError
-from .hashing import MAX_Q
-from .matchers import SearchOutcome, SearchStats, SearchTrace, \
-    distq_search, hashq_search, kmp_search, ldistq_search, naive_search
-from .preprocess import build_profile
-
-ALGORITHMS = ("naive", "kmp", "hashq", "distq", "ldistq")
-Q_ALGOS = frozenset({"hashq", "distq", "ldistq"})
+from .matchers import ALGORITHMS, MATCHERS, SearchStats, clamp_q
 
 CSV_COLUMNS = ("algo", "q", "m", "n", "occ", "reps", "total_ms",
                "char_cmp", "first_char_checks", "hash_char_reads",
@@ -87,40 +81,11 @@ class ReportRow:
     seed: int
 
 
-def _run_naive(text, pattern, q):
-    return SearchOutcome(naive_search(text, pattern), SearchStats(), SearchTrace())
-
-
-def _run_kmp(text, pattern, q):
-    return kmp_search(text, pattern)
-
-
-def _run_hashq(text, pattern, q):
-    return hashq_search(text, pattern, q)
-
-
-def _run_distq(text, pattern, q):
-    return distq_search(text, build_profile(pattern, q))
-
-
-def _run_ldistq(text, pattern, q):
-    return ldistq_search(text, build_profile(pattern, q))
-
-
-_RUNNERS = {
-    "naive": _run_naive,
-    "kmp": _run_kmp,
-    "hashq": _run_hashq,
-    "distq": _run_distq,
-    "ldistq": _run_ldistq,
-}
-
-
 def _validate(spec: BenchSpec) -> None:
     if not spec.algorithms:
         raise ConfigurationError("algorithm list is empty")
     for name in spec.algorithms:
-        if name not in _RUNNERS:
+        if name not in MATCHERS:
             raise ConfigurationError(f"unknown algorithm {name!r}")
     if not spec.qs or any(q < 1 for q in spec.qs):
         raise ConfigurationError(f"q values must be >= 1, got {spec.qs}")
@@ -140,7 +105,7 @@ def _validate(spec: BenchSpec) -> None:
 def _measure(algo: str, q: int, text: bytes, pattern: bytes,
              reps: int, trials: int, cell: str):
     """Best-of-trials wall seconds plus the (trial-stable) outcome."""
-    runner = _RUNNERS[algo]
+    runner, _ = MATCHERS[algo]
     best = None
     ref = None
     for _ in range(trials):
@@ -159,15 +124,8 @@ def _measure(algo: str, q: int, text: bytes, pattern: bytes,
 
 
 def _add_stats(acc: SearchStats, extra: SearchStats) -> SearchStats:
-    return SearchStats(
-        char_comparisons=acc.char_comparisons + extra.char_comparisons,
-        first_char_checks=acc.first_char_checks + extra.first_char_checks,
-        hashed_char_reads=acc.hashed_char_reads + extra.hashed_char_reads,
-        hq_shifts=acc.hq_shifts + extra.hq_shifts,
-        dist_shifts=acc.dist_shifts + extra.dist_shifts,
-        kmp_shifts=acc.kmp_shifts + extra.kmp_shifts,
-        windows=acc.windows + extra.windows,
-    )
+    return SearchStats(**{f.name: getattr(acc, f.name) + getattr(extra, f.name)
+                          for f in fields(SearchStats)})
 
 
 def _measure_cell(spec: BenchSpec, label: str, text: bytes, m: int,
@@ -175,9 +133,10 @@ def _measure_cell(spec: BenchSpec, label: str, text: bytes, m: int,
     n = len(text)
     plan: list[tuple[str, int]] = []
     for algo in spec.algorithms:
-        if algo in Q_ALGOS:
-            plan.extend((algo, q) for q in
-                        sorted({min(q, m, MAX_Q) for q in spec.qs}))
+        _, takes_q = MATCHERS[algo]
+        if takes_q:
+            plan.extend((algo, q)
+                        for q in sorted({clamp_q(q, m) for q in spec.qs}))
         else:
             plan.append((algo, 0))
     times = {key: 0.0 for key in plan}

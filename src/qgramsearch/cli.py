@@ -16,17 +16,16 @@ clamped with a warning; everything else invalid is a hard error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .bench import ALGORITHMS, BenchSpec, EmbedSource, FibonacciSource, \
+from .bench import BenchSpec, EmbedSource, FibonacciSource, \
     FileSource, emit_report, run_benchmark
 from .corpus import CorpusSpec, fibonacci_string, load_text, \
     random_text_with_occurrences
 from .errors import ConfigurationError, Error
 from .hashing import MAX_Q
-from .matchers import distq_search, hashq_search, kmp_search, ldistq_search, \
-    naive_search
-from .preprocess import build_profile
+from .matchers import ALGORITHMS, MATCHERS, clamp_q
 
 
 def run_search_command(text: bytes, pattern: bytes, algorithm: str, q: int,
@@ -35,31 +34,32 @@ def run_search_command(text: bytes, pattern: bytes, algorithm: str, q: int,
 
     Returns the CLI exit status (0 = found, 1 = none).  ``q`` is clamped to
     min(q, m, 8) with a note on ``err``; matchers that take no q ignore it.
+    A reader that closes ``out`` early just ends the output.
     """
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     if not pattern:
         raise ConfigurationError("pattern must be non-empty")
+    if algorithm not in MATCHERS:
+        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+    run, takes_q = MATCHERS[algorithm]
     m = len(pattern)
-    q_eff = min(q, m, MAX_Q)
-    if q_eff != q and algorithm in ("hashq", "distq", "ldistq"):
+    q_eff = clamp_q(q, m)
+    if q_eff != q and takes_q:
         print(f"warning: q={q} clamped to {q_eff} (pattern length {m}, "
               f"max {MAX_Q})", file=err)
-    if algorithm == "naive":
-        occurrences = naive_search(text, pattern)
-    elif algorithm == "kmp":
-        occurrences = kmp_search(text, pattern).occurrences
-    elif algorithm == "hashq":
-        occurrences = hashq_search(text, pattern, q_eff).occurrences
-    elif algorithm == "distq":
-        occurrences = distq_search(text, build_profile(pattern, q_eff)).occurrences
-    elif algorithm == "ldistq":
-        occurrences = ldistq_search(text, build_profile(pattern, q_eff)).occurrences
-    else:
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+    occurrences = run(text, pattern, q_eff).occurrences
     base = 1 if not zero_based else 0
-    for pos in occurrences:
-        print(pos - 1 + base, file=out)
+    try:
+        for pos in occurrences:
+            print(pos - 1 + base, file=out)
+        out.flush()
+    except BrokenPipeError:
+        # e.g. ``| head -1``; point the descriptor at devnull so the flush
+        # at interpreter exit cannot fail on the unsent rest again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
     return 0 if occurrences else 1
 
 
@@ -118,33 +118,42 @@ def _csv_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_bench(args) -> int:
-    sources = [s for s in (args.text_file, args.fib, args.embed_n)
-               if s is not None]
-    if len(sources) != 1:
+    given = [s for s in (args.text_file, args.fib, args.embed_n)
+             if s is not None]
+    if len(given) != 1:
         raise ConfigurationError(
             "exactly one of --text-file / --fib / --embed-n is required")
+    if args.embed_n is None and (args.embed_sigma is not None
+                                 or args.embed_occ is not None):
+        raise ConfigurationError(
+            "--embed-sigma / --embed-occ apply only with --embed-n")
     if args.text_file is not None:
-        source = FileSource(args.text_file, strip_newlines=args.strip_newlines)
+        sources = [FileSource(args.text_file,
+                              strip_newlines=args.strip_newlines)]
     elif args.fib is not None:
-        source = FibonacciSource(args.fib)
+        sources = [FibonacciSource(k) for k in _csv_ints(args.fib, "fib")]
     else:
         if args.embed_sigma is None:
             raise ConfigurationError("--embed-n requires --embed-sigma")
         occs = tuple(args.embed_occ) if args.embed_occ else (0,)
-        source = EmbedSource(n=args.embed_n, sigma=args.embed_sigma, occs=occs)
+        sources = [EmbedSource(n=args.embed_n, sigma=sigma, occs=occs)
+                   for sigma in _csv_ints(args.embed_sigma, "embed-sigma")]
     algos = tuple(ALGORITHMS) if args.algos == "all" else \
         tuple(part for part in args.algos.split(",") if part)
-    spec = BenchSpec(
-        source=source,
-        algorithms=algos,
-        qs=_csv_ints(args.q, "q"),
-        pattern_lengths=_csv_ints(args.m, "m"),
-        patterns_per_length=args.patterns_per_length,
-        repetitions=args.reps,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    report = emit_report(run_benchmark(spec), format=args.format)
+    qs, ms = _csv_ints(args.q, "q"), _csv_ints(args.m, "m")
+    rows = []
+    for source in sources:
+        rows.extend(run_benchmark(BenchSpec(
+            source=source,
+            algorithms=algos,
+            qs=qs,
+            pattern_lengths=ms,
+            patterns_per_length=args.patterns_per_length,
+            repetitions=args.reps,
+            trials=args.trials,
+            seed=args.seed,
+        )))
+    report = emit_report(rows, format=args.format)
     if args.out == "-":
         sys.stdout.write(report)
     else:
@@ -196,11 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a benchmark and emit a report")
     p_bench.add_argument("--text-file", help="benchmark corpus from a file")
-    p_bench.add_argument("--fib", type=int, help="Fibonacci corpus of order K")
+    p_bench.add_argument("--fib",
+                         help="comma list of Fibonacci orders K, one corpus each")
     p_bench.add_argument("--embed-n", type=int,
                          help="embedded-occurrence corpus of this length")
-    p_bench.add_argument("--embed-sigma", type=int,
-                         help="alphabet size for --embed-n")
+    p_bench.add_argument("--embed-sigma",
+                         help="comma list of alphabet sizes for --embed-n, "
+                              "one corpus each")
     p_bench.add_argument("--embed-occ", type=int, action="append",
                          help="occurrence count for --embed-n (repeatable)")
     p_bench.add_argument("--strip-newlines", action="store_true")

@@ -5,9 +5,11 @@ Two fingerprints of a q-byte window x = x[1..q] are used:
 * a 16-bit value  (4^(q-1)*x[1] + 4^(q-2)*x[2] + ... + x[q]) mod 2^16
 * an 8-bit value  (2^(q-1)*x[1] + 2^(q-2)*x[2] + ... + x[q]) mod 2^8
 
-The 16-bit hash feeds the distance-based shift tables and supports a
-constant-time rolling update when the window slides one byte to the right.
-The 8-bit hash is only used by the hash-shift baseline and is never rolled.
+The 16-bit hash feeds the distance-based shift tables and the 8-bit hash
+the hash-shift baseline.  Both admit a constant-time rolling update when the
+window slides one byte to the right.  This module is the one definition of
+both polynomials and of the valid q range; the matchers' text-side loops
+inline the same arithmetic for speed.
 
 q is capped at 8: for q >= 9 the weight 4^(q-1) of the outgoing byte is
 0 mod 2^16 and the rolling update could no longer remove it.
@@ -27,6 +29,58 @@ _MASK16 = MOD16 - 1
 _MASK8 = MOD8 - 1
 
 
+def check_q(q: int) -> None:
+    """Raise :class:`ConfigurationError` unless 1 <= q <= MAX_Q."""
+    if not 1 <= q <= MAX_Q:
+        raise ConfigurationError(f"q must be in [1, {MAX_Q}], got {q}")
+
+
+def _hash_window(window: bytes, q: int, base: int, mask: int) -> int:
+    """The q-gram polynomial, evaluated afresh on one q-byte window."""
+    check_q(q)
+    if len(window) != q:
+        raise ValueError(f"window length {len(window)} != q = {q}")
+    h = 0
+    for b in window:
+        h = h * base + b
+    # intermediate values stay below 4^8 * 256 < 2^24, well inside 32 bits
+    return h & mask
+
+
+def qgram_hash16(window: bytes, q: int) -> int:
+    """16-bit hash of a q-byte window.
+
+    >>> qgram_hash16(b"aba", 3)
+    2041
+    """
+    return _hash_window(window, q, 4, _MASK16)
+
+
+def qgram_hash8(window: bytes, q: int) -> int:
+    """8-bit hash of a q-byte window (base 2 instead of base 4).
+
+    >>> qgram_hash8(b"ab", 2)
+    36
+    """
+    return _hash_window(window, q, 2, _MASK8)
+
+
+def qgram_hashes(seq: bytes, q: int, base: int = 4, mask: int = _MASK16) -> list[int]:
+    """Hash of every q-gram of ``seq`` in one rolling pass, O(len(seq)).
+
+    Entry j (1-based, q <= j <= len(seq)) hashes seq[j-q:j]; entries below q
+    are padding.  ``base``/``mask`` select the fingerprint: 4 and 2^16 - 1
+    for the 16-bit hash, 2 and 2^8 - 1 for the 8-bit one.
+    """
+    h = _hash_window(seq[:q], q, base, mask)
+    weight = pow(base, q - 1, mask + 1)
+    hs = [0] * q + [h]
+    for out_byte, in_byte in zip(seq, seq[q:]):
+        h = ((h - weight * out_byte) * base + in_byte) & mask
+        hs.append(h)
+    return hs
+
+
 @dataclass(frozen=True)
 class RollContext:
     """Precomputed weight 4^(q-1) mod 2^16 of a window's leading byte.
@@ -39,42 +93,8 @@ class RollContext:
     pow4: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.q <= MAX_Q:
-            raise ConfigurationError(f"q must be in [1, {MAX_Q}], got {self.q}")
+        check_q(self.q)
         object.__setattr__(self, "pow4", pow(4, self.q - 1, MOD16))
-
-
-def qgram_hash16(window: bytes, q: int) -> int:
-    """16-bit hash of a q-byte window.
-
-    >>> qgram_hash16(b"aba", 3)
-    2041
-    """
-    if not 1 <= q <= MAX_Q:
-        raise ConfigurationError(f"q must be in [1, {MAX_Q}], got {q}")
-    if len(window) != q:
-        raise ValueError(f"window length {len(window)} != q = {q}")
-    h = 0
-    for b in window:
-        h = h * 4 + b
-    # intermediate values stay below 4^8 * 256 < 2^24, well inside 32 bits
-    return h & _MASK16
-
-
-def qgram_hash8(window: bytes, q: int) -> int:
-    """8-bit hash of a q-byte window (base 2 instead of base 4).
-
-    >>> qgram_hash8(b"ab", 2)
-    36
-    """
-    if not 1 <= q <= MAX_Q:
-        raise ConfigurationError(f"q must be in [1, {MAX_Q}], got {q}")
-    if len(window) != q:
-        raise ValueError(f"window length {len(window)} != q = {q}")
-    h = 0
-    for b in window:
-        h = h * 2 + b
-    return h & _MASK8
 
 
 def roll_hash16(prev: int, out_byte: int, in_byte: int, ctx: RollContext) -> int:

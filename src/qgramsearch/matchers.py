@@ -13,6 +13,9 @@ occurrences, sorted ascending):
                        less than q bytes away, so at most O(n + m) bytes are
                        ever hashed.
 
+``MATCHERS`` maps each name to a runner with one signature and is the one
+list of algorithms that the CLI and the benchmark harness read.
+
 Every matcher except the naive one returns a :class:`SearchOutcome` with
 instrumentation counters and a shift trace.  Counters are collected
 unconditionally; there is a single code path.
@@ -28,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError
-from .hashing import MAX_Q, _MASK8, _MASK16
-from .preprocess import PatternProfile, kmp_shift_table
+from .hashing import MAX_Q, MOD8, _MASK8, _MASK16, qgram_hashes
+from .preprocess import PatternProfile, build_profile, kmp_shift_table, \
+    shift_table, validate_q
 
 SHIFT_HQ = "hq"
 SHIFT_DIST = "dist"
@@ -156,23 +159,12 @@ def hashq_search(text: bytes, pattern: bytes, q: int) -> SearchOutcome:
     t = bytes(text)
     p = bytes(pattern)
     n, m = len(t), len(p)
-    if m == 0:
-        raise ValueError("pattern must be non-empty")
-    if not 1 <= q <= min(MAX_Q, m):
-        raise ConfigurationError(f"q must be in [1, min({MAX_Q}, m={m})], got {q}")
+    validate_q(m, q)
     if n < m:
         return _empty_outcome()
 
-    # 1-based hashes of pattern q-grams, then the shift table over 2^8
-    hs = [0] * (m + 1)
-    for j in range(q, m + 1):
-        h = 0
-        for b in p[j - q:j]:
-            h = h * 2 + b
-        hs[j] = h & _MASK8
-    table = [m - q + 1] * 256
-    for j in range(q, m + 1):
-        table[hs[j]] = m - j
+    hs = qgram_hashes(p, q, 2, _MASK8)
+    table = shift_table(m, q, hs, MOD8)
     # constant advance after a comparison: first k with an equal suffix hash
     adv = m - q + 1
     for k in range(1, m - q + 1):
@@ -187,6 +179,7 @@ def hashq_search(text: bytes, pattern: bytes, q: int) -> SearchOutcome:
     reads = 0
     k = m  # window end
     while k <= n:
+        # qgram_hash8 of the window's suffix q-gram, inlined (see hashing.py)
         h = 0
         for idx in range(k - q, k):
             h = h * 2 + t[idx]
@@ -256,6 +249,7 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool) -> SearchOu
             matched_first = False
             while True:
                 e = k
+                # qgram_hash16 / roll_hash16 inlined (see hashing.py)
                 if rolling and 0 <= e - last_end < q:
                     d = e - last_end
                     h = last_h
@@ -350,3 +344,24 @@ def ldistq_search(text: bytes, profile: PatternProfile) -> SearchOutcome:
     O(n + m) overall.
     """
     return _distq_core(text, profile, rolling=True)
+
+
+def clamp_q(q: int, m: int) -> int:
+    """The q that a q-taking matcher runs with on a length-m pattern."""
+    return min(q, m, MAX_Q)
+
+
+# The one list of algorithms: name -> (runner, takes_q).  A runner maps
+# (text, pattern, q) to a SearchOutcome, pattern preprocessing included;
+# runners that take no q ignore it.
+MATCHERS = {
+    "naive": (lambda text, pattern, q: SearchOutcome(
+        naive_search(text, pattern), SearchStats(), SearchTrace()), False),
+    "kmp": (lambda text, pattern, q: kmp_search(text, pattern), False),
+    "hashq": (hashq_search, True),
+    "distq": (lambda text, pattern, q:
+              distq_search(text, build_profile(pattern, q)), True),
+    "ldistq": (lambda text, pattern, q:
+               ldistq_search(text, build_profile(pattern, q)), True),
+}
+ALGORITHMS = tuple(MATCHERS)

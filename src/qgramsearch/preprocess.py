@@ -20,9 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .hashing import MAX_Q, RollContext, _MASK16
-
-HASH16_SPACE = 1 << 16
+from .hashing import MOD16, RollContext, check_q, qgram_hashes
 
 
 def strong_border_table(pattern: bytes) -> list[int]:
@@ -69,49 +67,20 @@ def kmp_shift_table(pattern: bytes) -> list[int]:
     return [0] + [j - sb[j] - 1 for j in range(1, len(sb))]
 
 
-def _validate_q(m: int, q: int) -> None:
+def validate_q(m: int, q: int) -> None:
+    """Reject an empty pattern and any q outside [1, min(m, MAX_Q)]."""
     if m == 0:
         raise ConfigurationError("pattern must be non-empty")
-    if not 1 <= q <= MAX_Q:
-        raise ConfigurationError(f"q must be in [1, {MAX_Q}], got {q}")
+    check_q(q)
     if q > m:
         raise ConfigurationError(f"q = {q} exceeds pattern length m = {m}")
 
 
-def _qgram_hashes_naive(pat: bytes, q: int) -> list[int]:
-    """16-bit hash of the q-gram ending at j, for j in q..m (1-based, padded).
-
-    Each q-gram is hashed from scratch: O(m*q) total.
-    """
-    m = len(pat)
-    hs = [0] * (m + 1)
-    for j in range(q, m + 1):
-        h = 0
-        for b in pat[j - q:j]:
-            h = h * 4 + b
-        hs[j] = h & _MASK16
-    return hs
-
-
-def _qgram_hashes_rolling(pat: bytes, q: int) -> list[int]:
-    """Same sequence as :func:`_qgram_hashes_naive` via one rolling pass, O(m)."""
-    m = len(pat)
-    hs = [0] * (m + 1)
-    h = 0
-    for b in pat[:q]:
-        h = h * 4 + b
-    h &= _MASK16
-    hs[q] = h
-    pow4 = pow(4, q - 1, HASH16_SPACE)
-    for j in range(q + 1, m + 1):
-        h = ((h - pow4 * pat[j - q - 1]) * 4 + pat[j - 1]) & _MASK16
-        hs[j] = h
-    return hs
-
-
-def _hq_from_hashes(m: int, q: int, hs: list[int]) -> list[int]:
+def shift_table(m: int, q: int, hs: list[int], size: int) -> list[int]:
+    """Hash shift table over ``size`` hash values from the q-gram hashes
+    ``hs`` (as returned by :func:`~qgramsearch.hashing.qgram_hashes`)."""
     # default m-q+1; overwriting in increasing j keeps the rightmost q-gram
-    table = [m - q + 1] * HASH16_SPACE
+    table = [m - q + 1] * size
     for j in range(q, m + 1):
         table[hs[j]] = m - j
     return table
@@ -121,7 +90,7 @@ def _dist_from_hashes(m: int, q: int, hs: list[int]) -> list[int]:
     dist = [0] * (m + 1)
     for j in range(1, q):
         dist[j] = 1  # inert entries below q; never larger than any real gap
-    prevpos = [0] * HASH16_SPACE
+    prevpos = [0] * MOD16
     for j in range(q, m + 1):
         h = hs[j]
         p = prevpos[h]
@@ -136,9 +105,7 @@ def hq_shift_table(pattern: bytes, q: int) -> list[int]:
     Entry c is m - j for the rightmost pattern position j in [q, m] whose
     q-gram hashes to c, and m - q + 1 when no pattern q-gram does.
     """
-    pat = bytes(pattern)
-    _validate_q(len(pat), q)
-    return _hq_from_hashes(len(pat), q, _qgram_hashes_naive(pat, q))
+    return build_profile(pattern, q).hq
 
 
 def dist_table(pattern: bytes, q: int) -> list[int]:
@@ -147,9 +114,7 @@ def dist_table(pattern: bytes, q: int) -> list[int]:
     dist[j] = min k >= 1 with hash(P[j-q+1-k : j-k]) = hash(P[j-q+1 : j]),
     capped at j-q+1; entries below q are fixed at 1 and never consulted.
     """
-    pat = bytes(pattern)
-    _validate_q(len(pat), q)
-    return _dist_from_hashes(len(pat), q, _qgram_hashes_naive(pat, q))
+    return build_profile(pattern, q).dist
 
 
 @dataclass(frozen=True)
@@ -171,23 +136,21 @@ class PatternProfile:
         return len(self.pattern)
 
 
-def build_profile(pattern: bytes, q: int, *, linear: bool = True) -> PatternProfile:
+def build_profile(pattern: bytes, q: int) -> PatternProfile:
     """Build all shift tables for ``pattern`` at q-gram size ``q``.
 
-    With ``linear=True`` (the default) the pattern q-gram hashes are produced
-    by a single rolling pass, so preprocessing is O(m) plus the table
-    allocations; ``linear=False`` hashes every q-gram from scratch.  Both
-    modes yield bit-identical tables.
+    The pattern q-gram hashes come from a single rolling pass, so
+    preprocessing is O(m) plus the table allocations.
     """
     pat = bytes(pattern)
     m = len(pat)
-    _validate_q(m, q)
-    hs = _qgram_hashes_rolling(pat, q) if linear else _qgram_hashes_naive(pat, q)
+    validate_q(m, q)
+    hs = qgram_hashes(pat, q)
     return PatternProfile(
         pattern=pat,
         q=q,
         kmp=kmp_shift_table(pat),
-        hq=_hq_from_hashes(m, q, hs),
+        hq=shift_table(m, q, hs, MOD16),
         dist=_dist_from_hashes(m, q, hs),
         ctx=RollContext(q),
     )

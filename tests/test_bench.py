@@ -64,7 +64,7 @@ def test_file_source(tmp_path):
 def test_disagreement_is_a_hard_failure(monkeypatch):
     def broken(text, pattern, q):
         return SearchOutcome([], SearchStats(), SearchTrace())
-    monkeypatch.setitem(bench_mod._RUNNERS, "kmp", broken)
+    monkeypatch.setitem(bench_mod.MATCHERS, "kmp", (broken, False))
     spec = small_spec(source=EmbedSource(n=2000, sigma=4, occs=(8,)),
                       algorithms=("kmp", "distq"))
     with pytest.raises(BenchmarkError, match="disagree"):
@@ -78,7 +78,7 @@ def test_unstable_counters_across_trials_detected(monkeypatch):
         calls.append(1)
         return SearchOutcome([1], SearchStats(char_comparisons=len(calls)),
                              SearchTrace())
-    monkeypatch.setitem(bench_mod._RUNNERS, "distq", flaky)
+    monkeypatch.setitem(bench_mod.MATCHERS, "distq", (flaky, True))
     with pytest.raises(BenchmarkError, match="trials"):
         run_benchmark(small_spec(algorithms=("distq",)))
 

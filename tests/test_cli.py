@@ -1,7 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qgramsearch
 from qgramsearch import naive_search
 from qgramsearch.cli import build_parser, main, run_search_command
 
@@ -150,6 +154,48 @@ def test_bench_markdown_to_file(capsys, tmp_path):
     assert report.startswith("| algo |")
     assert report.count("\n| ldistq |") == 2  # one row per occ cell
     assert "wrote report" in err
+
+
+def test_bench_comma_lists_run_one_corpus_each(capsys):
+    code, out, _ = run(capsys, "bench", "--fib", "10,12", "--algos", "kmp",
+                       "--m", "6", "--reps", "1", "--trials", "1")
+    assert code == 0
+    assert [line.split(",")[3] for line in out.splitlines()[1:]] == \
+        ["55", "144"]
+    code, out, _ = run(capsys, "bench", "--embed-n", "1500",
+                       "--embed-sigma", "4,95", "--embed-occ", "3",
+                       "--algos", "kmp", "--reps", "1", "--trials", "1")
+    assert code == 0
+    assert [line.split(",")[4] for line in out.splitlines()[1:]] == ["3", "3"]
+
+
+@pytest.mark.parametrize("source", ["fib", "file"])
+@pytest.mark.parametrize("flag", ["--embed-occ", "--embed-sigma"])
+def test_bench_embed_flags_without_embed_n_exit_2(capsys, tmp_path, source,
+                                                   flag):
+    tf = tmp_path / "t.bin"
+    tf.write_bytes(TEXT.encode())
+    argv = ("--fib", "12") if source == "fib" else ("--text-file", str(tf))
+    code, out, err = run(capsys, "bench", *argv, flag, "4",
+                         "--algos", "kmp", "--reps", "1", "--trials", "1")
+    assert (code, out) == (2, "")
+    assert "--embed-n" in err
+
+
+def test_search_reader_closing_early_ends_output(tmp_path):
+    tf = tmp_path / "t.bin"
+    tf.write_bytes(b"a" * 200_000)  # far more output than a pipe buffers
+    src = os.path.dirname(os.path.dirname(qgramsearch.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qgramsearch.cli", "search", "--text-file",
+         str(tf), "--pattern", "a", "--q", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"1\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_bench_source_required(capsys):

@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgramsearch import ConfigurationError, alphabet_bytes, build_profile, \
-    distq_search, hashq_search, kmp_search, ldistq_search, naive_search
+from qgramsearch import ConfigurationError, SearchStats, alphabet_bytes, \
+    build_profile, distq_search, fibonacci_string, hashq_search, kmp_search, \
+    ldistq_search, naive_search
 from oracles import occurrences_oracle
 
 PATTERN = b"abaabbaaa"
@@ -103,6 +104,23 @@ def test_hashq_disjoint_alphabet_shifts_by_default():
     assert out.occurrences == []
     assert all(kind == "hq" and amt == 3 for kind, amt in out.trace.shifts)
     assert out.stats.char_comparisons == 0
+
+
+def test_hashq_golden_trace_and_counters():
+    out = hashq_search(TEXT, PATTERN, 3)
+    assert out.trace.shifts == [("hq", 1), ("hq", 4), ("hq", 2), ("hq", 3),
+                                ("hq", 0), ("dist", 7), ("hq", 4), ("hq", 0)]
+    assert out.trace.hash_ends == [9, 10, 14, 16, 19, 26, 30]
+    assert out.stats == SearchStats(char_comparisons=12, hashed_char_reads=21,
+                                    hq_shifts=7, dist_shifts=1, windows=7)
+
+
+def test_hashq_fibonacci_counters():
+    text = fibonacci_string(12)
+    out = hashq_search(text, text[10:18], 3)
+    assert len(out.occurrences) == 20
+    assert out.stats == SearchStats(char_comparisons=160, hashed_char_reads=99,
+                                    hq_shifts=33, dist_shifts=19, windows=33)
 
 
 def test_hashq_rejects_bad_q():

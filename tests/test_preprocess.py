@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from qgramsearch import ConfigurationError, build_profile, dist_table, \
     hq_shift_table, kmp_shift_table, qgram_hash16, strong_border_table
-from oracles import dist_oracle, hq_shift_oracle, strong_border_oracle
+from oracles import dist_oracle, hash16_oracle, hq_shift_oracle, \
+    strong_border_oracle
 
 EXAMPLE = b"abaabbaaa"
 
@@ -100,7 +101,6 @@ def test_hq_table_two_gram_pattern():
 
 
 def test_hq_table_full_direct_evaluation():
-    from oracles import hash16_oracle
     rng = random.Random(41)
     for _ in range(3):
         m = rng.randint(4, 18)
@@ -165,15 +165,20 @@ def test_profile_matches_standalone_tables():
 
 
 @given(st.data())
-@settings(max_examples=80, deadline=None)
-def test_linear_and_naive_preprocessing_identical(data):
-    pat = data.draw(st.binary(min_size=1, max_size=48))
-    q = data.draw(st.integers(1, min(8, len(pat))))
-    fast = build_profile(pat, q, linear=True)
-    slow = build_profile(pat, q, linear=False)
-    assert fast.hq == slow.hq
-    assert fast.dist == slow.dist
-    assert fast.kmp == slow.kmp
+@settings(max_examples=100, deadline=None)
+def test_profile_tables_match_oracles(data):
+    # all 256 byte values and patterns longer than the acceptance fuzz's 64
+    m = data.draw(st.integers(1, 80))
+    pat = data.draw(st.binary(min_size=m, max_size=m))
+    q = data.draw(st.integers(1, min(8, m)))
+    prof = build_profile(pat, q)
+    for j in range(q, m + 1):
+        h = hash16_oracle(pat[j - q:j], q)
+        assert prof.hq[h] == hq_shift_oracle(pat, q, h), (pat, q, j)
+    for c in data.draw(st.lists(st.integers(0, (1 << 16) - 1), max_size=8)):
+        assert prof.hq[c] == hq_shift_oracle(pat, q, c), (pat, q, c)
+    for j in range(1, m + 1):
+        assert prof.dist[j] == dist_oracle(pat, q, j), (pat, q, j)
 
 
 @pytest.mark.parametrize("pat,q", [(b"abc", 4), (b"abc", 0), (b"abc", 9),
