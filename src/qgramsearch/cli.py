@@ -127,6 +127,9 @@ def _cmd_bench(args) -> int:
                                  or args.embed_occ is not None):
         raise ConfigurationError(
             "--embed-sigma / --embed-occ apply only with --embed-n")
+    if args.strip_newlines and args.text_file is None:
+        raise ConfigurationError(
+            "--strip-newlines applies only with --text-file")
     if args.text_file is not None:
         sources = [FileSource(args.text_file,
                               strip_newlines=args.strip_newlines)]
@@ -214,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "one corpus each")
     p_bench.add_argument("--embed-occ", type=int, action="append",
                          help="occurrence count for --embed-n (repeatable)")
-    p_bench.add_argument("--strip-newlines", action="store_true")
+    p_bench.add_argument("--strip-newlines", action="store_true",
+                         help="drop LF bytes from --text-file")
     p_bench.add_argument("--algos", default="all",
                          help="comma list of algorithms, or 'all'")
     p_bench.add_argument("--q", default="3", help="comma list of q values")

@@ -16,15 +16,18 @@ occurrences, sorted ascending):
 ``MATCHERS`` maps each name to a runner with one signature and is the one
 list of algorithms that the CLI and the benchmark harness read.
 
-Every matcher except the naive one returns a :class:`SearchOutcome` with
-instrumentation counters and a shift trace.  Counters are collected
-unconditionally; there is a single code path.
+Every matcher except the naive one returns a :class:`SearchOutcome`.  Its
+:class:`SearchStats` counters are kept as plain integers in the search loop,
+each at the point where the counted event happens.  A :class:`SearchTrace`
+is built only when the matcher is called with ``trace=True``; otherwise
+``outcome.trace`` is ``None`` and the search holds no per-event memory.
 
-A shift event is recorded only when the pattern lands on an alignment that
-still fits inside the text (the trailing shift that walks the window off the
-end is performed but not logged, so the trace lists exactly the transitions
-between examined alignments).  Hash-shift events may carry amount 0: the
-table confirmed the current alignment without moving it.
+A shift event is recorded (counted, and traced when asked) only when the
+pattern lands on an alignment that still fits inside the text (the trailing
+shift that walks the window off the end is performed but not recorded, so
+the trace lists exactly the transitions between examined alignments).
+Hash-shift events may carry amount 0: the table confirmed the current
+alignment without moving it.
 """
 
 from __future__ import annotations
@@ -48,7 +51,10 @@ class SearchStats:
     comparison; the alignment phase's single first-byte probe is kept in
     first_char_checks so the 2n comparison bound stays visible on its own.
     hashed_char_reads counts text bytes consumed by hashing: q per fresh
-    hash, 1 per rolling step.  windows is the number of alignments examined.
+    hash, 1 per rolling step.  hq_shifts, dist_shifts and kmp_shifts count
+    the recorded shifts of each rule.  windows is the number of alignments
+    examined: 1 + the number of recorded shifts with a positive amount, or
+    0 when the text is shorter than the pattern (n < m).
     """
 
     char_comparisons: int = 0
@@ -74,24 +80,7 @@ class SearchTrace:
 class SearchOutcome:
     occurrences: list[int]
     stats: SearchStats
-    trace: SearchTrace
-
-
-def _empty_outcome() -> SearchOutcome:
-    return SearchOutcome([], SearchStats(), SearchTrace())
-
-
-def _finish(occ, shifts, positions, hash_ends, cmps, fchecks, reads) -> SearchOutcome:
-    stats = SearchStats(
-        char_comparisons=cmps,
-        first_char_checks=fchecks,
-        hashed_char_reads=reads,
-        hq_shifts=sum(1 for kind, _ in shifts if kind == SHIFT_HQ),
-        dist_shifts=sum(1 for kind, _ in shifts if kind == SHIFT_DIST),
-        kmp_shifts=sum(1 for kind, _ in shifts if kind == SHIFT_KMP),
-        windows=1 + sum(1 for _, amt in shifts if amt > 0),
-    )
-    return SearchOutcome(occ, stats, SearchTrace(shifts, positions, hash_ends))
+    trace: SearchTrace | None  # None unless the search ran with trace=True
 
 
 def naive_search(text: bytes, pattern: bytes) -> list[int]:
@@ -108,20 +97,21 @@ def naive_search(text: bytes, pattern: bytes) -> list[int]:
     return [i + 1 for i in range(len(t) - m + 1) if t[i:i + m] == p]
 
 
-def kmp_search(text: bytes, pattern: bytes) -> SearchOutcome:
+def kmp_search(text: bytes, pattern: bytes,
+               trace: bool = False) -> SearchOutcome:
     """Strong-border matcher; at most 2n character comparisons."""
     t = bytes(text)
     p = bytes(pattern)
     if not p:
         raise ValueError("pattern must be non-empty")
     n, m = len(t), len(p)
+    log = SearchTrace() if trace else None
     if n < m:
-        return _empty_outcome()
+        return SearchOutcome([], SearchStats(), log)
     ks = kmp_shift_table(p)
     last_start = n - m + 1  # rightmost alignment that fits
     occ: list[int] = []
-    shifts: list[tuple[str, int]] = []
-    cmps = 0
+    cmps = kmp_n = 0
     i = 1  # text cursor
     j = 1  # pattern cursor; window starts at i - j + 1
     while i <= n:
@@ -134,21 +124,23 @@ def kmp_search(text: bytes, pattern: bytes) -> SearchOutcome:
         if p[j - 1] == t[i - 1]:
             i += 1
             j += 1
-            if j == m + 1:
-                occ.append(i - m)
-                amt = ks[j]
-                j -= amt
-                if i - j + 1 <= last_start:
-                    shifts.append((SHIFT_KMP, amt))
-        else:
-            amt = ks[j]
-            j -= amt
-            if i - j + 1 <= last_start:
-                shifts.append((SHIFT_KMP, amt))
-    return _finish(occ, shifts, [], [], cmps, 0, 0)
+            if j <= m:
+                continue
+            occ.append(i - m)
+        # after a full match (j = m + 1) or a mismatch at j
+        amt = ks[j]
+        j -= amt
+        if i - j + 1 <= last_start:
+            kmp_n += 1
+            if trace:
+                log.shifts.append((SHIFT_KMP, amt))
+    # every kmp shift is positive, so each recorded one opens a window
+    return SearchOutcome(occ, SearchStats(
+        char_comparisons=cmps, kmp_shifts=kmp_n, windows=1 + kmp_n), log)
 
 
-def hashq_search(text: bytes, pattern: bytes, q: int) -> SearchOutcome:
+def hashq_search(text: bytes, pattern: bytes, q: int,
+                 trace: bool = False) -> SearchOutcome:
     """8-bit hash-shift matcher.
 
     The window end jumps by the table amount until the suffix q-gram hash
@@ -160,8 +152,7 @@ def hashq_search(text: bytes, pattern: bytes, q: int) -> SearchOutcome:
     p = bytes(pattern)
     n, m = len(t), len(p)
     validate_q(m, q)
-    if n < m:
-        return _empty_outcome()
+    log = SearchTrace() if trace else None
 
     hs = qgram_hashes(p, q, 2, _MASK8)
     table = shift_table(m, q, hs, MOD8)
@@ -173,10 +164,8 @@ def hashq_search(text: bytes, pattern: bytes, q: int) -> SearchOutcome:
             break
 
     occ: list[int] = []
-    shifts: list[tuple[str, int]] = []
-    hash_ends: list[int] = []
-    cmps = 0
-    reads = 0
+    cmps = reads = hq_n = dist_n = 0
+    windows = 1 if n >= m else 0  # the first alignment, if it fits
     k = m  # window end
     while k <= n:
         # qgram_hash8 of the window's suffix q-gram, inlined (see hashing.py)
@@ -185,14 +174,18 @@ def hashq_search(text: bytes, pattern: bytes, q: int) -> SearchOutcome:
             h = h * 2 + t[idx]
         h &= _MASK8
         reads += q
-        hash_ends.append(k)
+        if trace:
+            log.hash_ends.append(k)
         sh = table[h]
+        k += sh
+        if k > n:
+            break
+        hq_n += 1
+        if trace:
+            log.shifts.append((SHIFT_HQ, sh))
         if sh:
-            k += sh
-            if k <= n:
-                shifts.append((SHIFT_HQ, sh))
+            windows += 1
             continue
-        shifts.append((SHIFT_HQ, 0))
         start = k - m  # 0-based window start
         j = 0
         while j < m and p[j] == t[start + j]:
@@ -204,11 +197,17 @@ def hashq_search(text: bytes, pattern: bytes, q: int) -> SearchOutcome:
             occ.append(start + 1)
         k += adv
         if k <= n:
-            shifts.append((SHIFT_DIST, adv))
-    return _finish(occ, shifts, [], hash_ends, cmps, 0, reads)
+            dist_n += 1
+            windows += 1  # adv >= 1
+            if trace:
+                log.shifts.append((SHIFT_DIST, adv))
+    return SearchOutcome(occ, SearchStats(
+        char_comparisons=cmps, hashed_char_reads=reads, hq_shifts=hq_n,
+        dist_shifts=dist_n, windows=windows), log)
 
 
-def _distq_core(text: bytes, profile: PatternProfile, rolling: bool) -> SearchOutcome:
+def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
+                trace: bool) -> SearchOutcome:
     """Shared engine of distq_search / ldistq_search.
 
     ``rolling`` selects how the alignment-phase window hash is obtained;
@@ -219,8 +218,7 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool) -> SearchOu
     p = profile.pattern
     n, m = len(t), len(p)
     q = profile.q
-    if n < m:
-        return _empty_outcome()
+    log = SearchTrace() if trace else None
     hq_tab = profile.hq
     dist_tab = profile.dist
     ks = profile.kmp
@@ -229,12 +227,8 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool) -> SearchOu
     first_byte = p[0]
 
     occ: list[int] = []
-    shifts: list[tuple[str, int]] = []
-    positions: list[int] = []
-    hash_ends: list[int] = []
-    cmps = 0
-    fchecks = 0
-    reads = 0
+    cmps = fchecks = reads = hq_n = dist_n = kmp_n = 0
+    windows = 1 if n >= m else 0  # the first alignment, if it fits
 
     i = 1  # text cursor (1-based)
     j = 1  # pattern cursor; <= 1 means no partial match is held
@@ -244,9 +238,9 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool) -> SearchOu
     last_h = 0
 
     while k <= n:
-        if j <= 1:
+        hashed = j <= 1
+        if hashed:
             # --- alignment phase: place the window by suffix q-gram hash ---
-            matched_first = False
             while True:
                 e = k
                 # qgram_hash16 / roll_hash16 inlined (see hashing.py)
@@ -266,84 +260,86 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool) -> SearchOu
                     reads += q
                 last_end = e
                 last_h = h
-                hash_ends.append(e)
+                if trace:
+                    log.hash_ends.append(e)
                 sh = hq_tab[h]
                 k += sh
-                if sh != mq1:
-                    pos = m - sh
-                    if k > n:
-                        break
-                    shifts.append((SHIFT_HQ, sh))
-                    positions.append(pos)
-                    fchecks += 1
-                    if first_byte == t[k - m]:
-                        matched_first = True
-                        break
-                    d = dist_tab[pos]
-                    k += d
-                    if k > n:
-                        break
-                    shifts.append((SHIFT_DIST, d))
-                else:
-                    if k > n:
-                        break
-                    shifts.append((SHIFT_HQ, sh))
-            if not matched_first:
+                if k > n:
+                    break
+                hq_n += 1
+                if sh:
+                    windows += 1
+                if trace:
+                    log.shifts.append((SHIFT_HQ, sh))
+                if sh == mq1:
+                    continue  # no pattern q-gram hashes like this one
+                pos = m - sh
+                if trace:
+                    log.positions.append(pos)
+                fchecks += 1
+                if first_byte == t[k - m]:
+                    break
+                d = dist_tab[pos]
+                k += d
+                if k > n:
+                    break
+                dist_n += 1
+                windows += 1  # every dist entry is >= 1
+                if trace:
+                    log.shifts.append((SHIFT_DIST, d))
+            if k > n:
                 break  # window left the text
-            # --- comparison phase: first byte matched, walk the rest ---
+            # first byte matched: the comparison phase walks the rest
             j = 2
             i = k - m + 2
-            while j <= m and p[j - 1] == t[i - 1]:
-                cmps += 1
-                i += 1
-                j += 1
-            if j <= m:
-                cmps += 1  # the failing test
-            if j == m + 1:
-                occ.append(i - m)
-            d = dist_tab[pos]
-            if d >= j - 1 and d >= ks[j]:
-                j -= d
-                kind = SHIFT_DIST
-                amt = d
-            else:
-                amt = ks[j]
-                j -= amt
-                kind = SHIFT_KMP
-            k = i + m - j
-            if k <= n:
-                shifts.append((kind, amt))
+        # --- comparison phase, or border phase extending the partial match
+        # kept in j: one extend loop, then a dist-or-kmp or kmp shift ---
+        while j <= m and p[j - 1] == t[i - 1]:
+            cmps += 1
+            i += 1
+            j += 1
+        if j <= m:
+            cmps += 1  # the failing test
         else:
-            # --- border phase: extend the partial match kept in j ---
-            while j <= m and p[j - 1] == t[i - 1]:
-                cmps += 1
-                i += 1
-                j += 1
-            if j <= m:
-                cmps += 1
-            if j == m + 1:
-                occ.append(i - m)
-            amt = ks[j]
-            j -= amt
-            k = i + m - j
-            if k <= n:
-                shifts.append((SHIFT_KMP, amt))
-    return _finish(occ, shifts, positions, hash_ends, cmps, fchecks, reads)
+            occ.append(i - m)
+        amt = ks[j]
+        kind = SHIFT_KMP
+        if hashed:
+            d = dist_tab[pos]
+            if d >= j - 1 and d >= amt:
+                amt = d
+                kind = SHIFT_DIST
+        j -= amt
+        k = i + m - j
+        if k <= n:
+            windows += 1  # dist and kmp shifts are >= 1
+            if kind == SHIFT_DIST:
+                dist_n += 1
+            else:
+                kmp_n += 1
+            if trace:
+                log.shifts.append((kind, amt))
+    return SearchOutcome(occ, SearchStats(
+        char_comparisons=cmps, first_char_checks=fchecks,
+        hashed_char_reads=reads, hq_shifts=hq_n, dist_shifts=dist_n,
+        kmp_shifts=kmp_n, windows=windows), log)
 
 
-def distq_search(text: bytes, profile: PatternProfile) -> SearchOutcome:
+def distq_search(text: bytes, profile: PatternProfile,
+                 trace: bool = False) -> SearchOutcome:
     """Distance-shift matcher; every window hash is computed from scratch."""
-    return _distq_core(text, profile, rolling=False)
+    return _distq_core(text, profile, rolling=False, trace=trace)
 
 
-def ldistq_search(text: bytes, profile: PatternProfile) -> SearchOutcome:
+def ldistq_search(text: bytes, profile: PatternProfile,
+                  trace: bool = False) -> SearchOutcome:
     """Distance-shift matcher with rolling window hashes.
 
     Window end positions never decrease, so reusing the previous hash when
     the next end is less than q bytes ahead caps hashed text bytes at
     O(n + m) overall.
     """
-    return _distq_core(text, profile, rolling=True)
+    return _distq_core(text, profile, rolling=True, trace=trace)
 
 
 def clamp_q(q: int, m: int) -> int:
@@ -356,7 +352,7 @@ def clamp_q(q: int, m: int) -> int:
 # runners that take no q ignore it.
 MATCHERS = {
     "naive": (lambda text, pattern, q: SearchOutcome(
-        naive_search(text, pattern), SearchStats(), SearchTrace()), False),
+        naive_search(text, pattern), SearchStats(), None), False),
     "kmp": (lambda text, pattern, q: kmp_search(text, pattern), False),
     "hashq": (hashq_search, True),
     "distq": (lambda text, pattern, q:

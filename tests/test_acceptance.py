@@ -75,10 +75,10 @@ def fuzz():
         try:
             ref = naive_search(text, pattern)
             profile = build_profile(pattern, q)
-            outcomes = {"kmp": kmp_search(text, pattern),
-                        "hashq": hashq_search(text, pattern, q),
-                        "distq": distq_search(text, profile),
-                        "ldistq": ldistq_search(text, profile)}
+            outcomes = {"kmp": kmp_search(text, pattern, trace=True),
+                        "hashq": hashq_search(text, pattern, q, trace=True),
+                        "distq": distq_search(text, profile, trace=True),
+                        "ldistq": ldistq_search(text, profile, trace=True)}
         except Exception as exc:
             eq_failures.append(f"{tag}: raised {exc!r}")
             continue
@@ -113,7 +113,7 @@ def test_criterion_01_golden_tables():
 
 def test_criterion_02_golden_trace():
     with criterion(2, "golden search trace exact", limit_s=1.0):
-        outcome = distq_search(TEXT, build_profile(PATTERN, 3))
+        outcome = distq_search(TEXT, build_profile(PATTERN, 3), trace=True)
         assert outcome.occurrences == [22]
         assert outcome.trace.shifts == [("hq", 1), ("dist", 4), ("hq", 2),
                                         ("dist", 5), ("hq", 6), ("kmp", 3)]

@@ -182,6 +182,15 @@ def test_bench_embed_flags_without_embed_n_exit_2(capsys, tmp_path, source,
     assert "--embed-n" in err
 
 
+@pytest.mark.parametrize("argv", [("--fib", "12"),
+                                  ("--embed-n", "1500", "--embed-sigma", "4")])
+def test_bench_strip_newlines_without_text_file_exits_2(capsys, argv):
+    code, out, err = run(capsys, "bench", *argv, "--strip-newlines",
+                         "--algos", "kmp", "--reps", "1", "--trials", "1")
+    assert (code, out) == (2, "")
+    assert "--text-file" in err
+
+
 def test_search_reader_closing_early_ends_output(tmp_path):
     tf = tmp_path / "t.bin"
     tf.write_bytes(b"a" * 200_000)  # far more output than a pipe buffers

@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgramsearch import ConfigurationError, SearchStats, alphabet_bytes, \
-    build_profile, distq_search, fibonacci_string, hashq_search, kmp_search, \
+from qgramsearch import ConfigurationError, SearchStats, build_profile, \
+    distq_search, fibonacci_string, hashq_search, kmp_search, \
     ldistq_search, naive_search
 from oracles import occurrences_oracle
 
@@ -17,12 +18,12 @@ GOLDEN_SHIFTS = [("hq", 1), ("dist", 4), ("hq", 2), ("dist", 5),
 
 @st.composite
 def search_case(draw):
-    sigma = draw(st.sampled_from((2, 4, 26, 95)))
-    al = alphabet_bytes(sigma)
-    m = draw(st.integers(1, 24))
+    sigma = draw(st.sampled_from((2, 4, 26, 95, 256)))
+    m = draw(st.integers(1, 80))
     n = draw(st.integers(m, 220))
     seed = draw(st.integers(0, 2 ** 32))
     rng = random.Random(seed)
+    al = bytes(rng.sample(range(256), sigma))  # any of the 256 byte values
     text = bytes(rng.choices(al, k=n))
     kind = draw(st.sampled_from(("random", "sampled", "mutated")))
     if kind == "random":
@@ -100,14 +101,14 @@ def test_hashq_examples():
 
 def test_hashq_disjoint_alphabet_shifts_by_default():
     # no text q-gram collides with a pattern q-gram: every shift is m-q+1
-    out = hashq_search(b"a" * 40, b"zzzz", 2)
+    out = hashq_search(b"a" * 40, b"zzzz", 2, trace=True)
     assert out.occurrences == []
     assert all(kind == "hq" and amt == 3 for kind, amt in out.trace.shifts)
     assert out.stats.char_comparisons == 0
 
 
 def test_hashq_golden_trace_and_counters():
-    out = hashq_search(TEXT, PATTERN, 3)
+    out = hashq_search(TEXT, PATTERN, 3, trace=True)
     assert out.trace.shifts == [("hq", 1), ("hq", 4), ("hq", 2), ("hq", 3),
                                 ("hq", 0), ("dist", 7), ("hq", 4), ("hq", 0)]
     assert out.trace.hash_ends == [9, 10, 14, 16, 19, 26, 30]
@@ -134,7 +135,7 @@ def test_hashq_rejects_bad_q():
 
 def test_distq_golden_trace():
     prof = build_profile(PATTERN, 3)
-    out = distq_search(TEXT, prof)
+    out = distq_search(TEXT, prof, trace=True)
     assert out.occurrences == [22]
     assert out.trace.shifts == GOLDEN_SHIFTS
     assert out.trace.positions == [8, 7, 3]
@@ -147,8 +148,8 @@ def test_distq_golden_trace():
 
 def test_ldistq_golden_trace_identical():
     prof = build_profile(PATTERN, 3)
-    a = distq_search(TEXT, prof)
-    b = ldistq_search(TEXT, prof)
+    a = distq_search(TEXT, prof, trace=True)
+    b = ldistq_search(TEXT, prof, trace=True)
     assert a.occurrences == b.occurrences
     assert a.trace == b.trace
     # same alignments hashed, so here the same read count too (no short steps)
@@ -169,7 +170,7 @@ def test_distq_text_equals_pattern():
 
 def test_distq_text_shorter_than_pattern():
     prof = build_profile(PATTERN, 3)
-    out = distq_search(b"abaa", prof)
+    out = distq_search(b"abaa", prof, trace=True)
     assert out.occurrences == []
     assert out.stats.windows == 0
     assert out.trace.shifts == []
@@ -190,8 +191,8 @@ def test_ldistq_rolls_on_dense_alignments():
     # all-a text forces end-position steps of dist[m] = 2 < q: rolling wins
     n = 2000
     prof = build_profile(b"b" + b"a" * 8, 8)
-    d = distq_search(b"a" * n, prof)
-    l = ldistq_search(b"a" * n, prof)
+    d = distq_search(b"a" * n, prof, trace=True)
+    l = ldistq_search(b"a" * n, prof, trace=True)
     assert d.occurrences == l.occurrences == []
     assert d.trace == l.trace
     assert l.stats.hashed_char_reads < d.stats.hashed_char_reads / 3
@@ -200,7 +201,7 @@ def test_ldistq_rolls_on_dense_alignments():
 
 def test_hash_end_positions_never_decrease():
     prof = build_profile(PATTERN, 3)
-    ends = ldistq_search(TEXT, prof).trace.hash_ends
+    ends = ldistq_search(TEXT, prof, trace=True).trace.hash_ends
     assert ends == sorted(ends)
     assert all(e <= len(TEXT) for e in ends)
 
@@ -213,10 +214,18 @@ def test_all_matchers_agree_with_naive(case):
     text, pattern, q = case
     expected = naive_search(text, pattern)
     prof = build_profile(pattern, q)
-    ko = kmp_search(text, pattern)
-    ho = hashq_search(text, pattern, q)
-    do = distq_search(text, prof)
-    lo = ldistq_search(text, prof)
+    ko = kmp_search(text, pattern, trace=True)
+    ho = hashq_search(text, pattern, q, trace=True)
+    do = distq_search(text, prof, trace=True)
+    lo = ldistq_search(text, prof, trace=True)
+    # untraced runs count the same work and hold no trace
+    for traced, untraced in ((ko, kmp_search(text, pattern)),
+                             (ho, hashq_search(text, pattern, q)),
+                             (do, distq_search(text, prof)),
+                             (lo, ldistq_search(text, prof))):
+        assert untraced.occurrences == traced.occurrences
+        assert untraced.stats == traced.stats
+        assert untraced.trace is None
     assert ko.occurrences == expected
     assert ho.occurrences == expected
     assert do.occurrences == expected
@@ -235,7 +244,7 @@ def test_all_matchers_agree_with_naive(case):
 @settings(max_examples=100, deadline=None)
 def test_recorded_shifts_sum_to_window_travel(case):
     text, pattern, q = case
-    out = distq_search(text, build_profile(pattern, q))
+    out = distq_search(text, build_profile(pattern, q), trace=True)
     n, m = len(text), len(pattern)
     if n < m:
         assert out.trace.shifts == []
@@ -249,7 +258,26 @@ def test_recorded_shifts_sum_to_window_travel(case):
 
 
 def test_stats_are_plain_counters():
-    out = distq_search(TEXT, build_profile(PATTERN, 3))
+    out = distq_search(TEXT, build_profile(PATTERN, 3), trace=True)
     s = out.stats
     assert s.hashed_char_reads == 3 * len(out.trace.hash_ends)
     assert s.hq_shifts + s.dist_shifts + s.kmp_shifts == len(out.trace.shifts)
+
+
+def test_untraced_search_allocates_nothing_per_event():
+    # a 200 000-byte DNA-like text the pattern never occurs in: thousands of
+    # shifts, first-byte probes and partial matches, but no occurrence list
+    text = bytes(random.Random(5).choices(b"acgt", k=200_000))
+    pattern = b"acgtacgx"
+    prof = build_profile(pattern, 3)
+    for search in (lambda: distq_search(text, prof),
+                   lambda: kmp_search(text, pattern)):
+        tracemalloc.start()
+        try:
+            out = search()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.occurrences == [] and out.trace is None
+        assert out.stats.windows > 10_000
+        assert peak < 64 * 1024, peak
