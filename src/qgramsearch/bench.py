@@ -84,9 +84,12 @@ class ReportRow:
 def _validate(spec: BenchSpec) -> None:
     if not spec.algorithms:
         raise ConfigurationError("algorithm list is empty")
-    for name in spec.algorithms:
+    for i, name in enumerate(spec.algorithms):
         if name not in MATCHERS:
             raise ConfigurationError(f"unknown algorithm {name!r}")
+        if name in spec.algorithms[:i]:
+            # rows are keyed on (algo, q): a repeat would double its figures
+            raise ConfigurationError(f"algorithm {name!r} is listed twice")
     if not spec.qs or any(q < 1 for q in spec.qs):
         raise ConfigurationError(f"q values must be >= 1, got {spec.qs}")
     if not spec.pattern_lengths or any(m < 1 for m in spec.pattern_lengths):

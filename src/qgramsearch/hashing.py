@@ -7,17 +7,16 @@ Two fingerprints of a q-byte window x = x[1..q] are used:
 
 The 16-bit hash feeds the distance-based shift tables and the 8-bit hash
 the hash-shift baseline.  Both admit a constant-time rolling update when the
-window slides one byte to the right.  This module is the one definition of
-both polynomials and of the valid q range; the matchers' text-side loops
-inline the same arithmetic for speed.
+window slides one byte to the right; :func:`qgram_hashes` is the one rolling
+pass, used for every pattern.  This module is the one definition of both
+polynomials and of the valid q range; the matchers' text-side loops inline
+the same arithmetic for speed.
 
 q is capped at 8: for q >= 9 the weight 4^(q-1) of the outgoing byte is
 0 mod 2^16 and the rolling update could no longer remove it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 
@@ -70,7 +69,11 @@ def qgram_hashes(seq: bytes, q: int, base: int = 4, mask: int = _MASK16) -> list
 
     Entry j (1-based, q <= j <= len(seq)) hashes seq[j-q:j]; entries below q
     are padding.  ``base``/``mask`` select the fingerprint: 4 and 2^16 - 1
-    for the 16-bit hash, 2 and 2^8 - 1 for the 8-bit one.
+    for the 16-bit hash, 2 and 2^8 - 1 for the 8-bit one.  Each step
+    removes the outgoing byte at weight base^(q-1) and shifts in the next:
+
+    >>> qgram_hashes(b"abaa", 3)[3:]   # "aba", then rolled to "baa"
+    [2041, 2053]
     """
     h = _hash_window(seq[:q], q, base, mask)
     weight = pow(base, q - 1, mask + 1)
@@ -79,36 +82,3 @@ def qgram_hashes(seq: bytes, q: int, base: int = 4, mask: int = _MASK16) -> list
         h = ((h - weight * out_byte) * base + in_byte) & mask
         hs.append(h)
     return hs
-
-
-@dataclass(frozen=True)
-class RollContext:
-    """Precomputed weight 4^(q-1) mod 2^16 of a window's leading byte.
-
-    >>> RollContext(3).pow4
-    16
-    """
-
-    q: int
-    pow4: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        check_q(self.q)
-        object.__setattr__(self, "pow4", pow(4, self.q - 1, MOD16))
-
-
-def roll_hash16(prev: int, out_byte: int, in_byte: int, ctx: RollContext) -> int:
-    """Slide a 16-bit q-gram hash one byte to the right.
-
-    ``prev`` hashes w[i .. i+q-1]; the result hashes w[i+1 .. i+q] where
-    ``out_byte`` = w[i] leaves the window and ``in_byte`` = w[i+q] enters:
-
-        (4 * (prev - 4^(q-1) * out_byte) + in_byte) mod 2^16
-
-    The masked subtraction keeps every intermediate inside 32 bits and the
-    result is always the non-negative residue.
-
-    >>> roll_hash16(2041, ord("a"), ord("a"), RollContext(3))   # "aba" -> "baa"
-    2053
-    """
-    return ((prev - ctx.pow4 * out_byte) * 4 + in_byte) & _MASK16

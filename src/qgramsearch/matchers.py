@@ -34,9 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .hashing import MAX_Q, MOD8, _MASK8, _MASK16, qgram_hashes
-from .preprocess import PatternProfile, build_profile, kmp_shift_table, \
-    shift_table, validate_q
+from .hashing import MAX_Q, MOD8, MOD16, _MASK8, _MASK16, qgram_hashes
+from .preprocess import PatternProfile, build_profile, dist_from_hashes, \
+    kmp_shift_table, shift_table, validate_q
 
 SHIFT_HQ = "hq"
 SHIFT_DIST = "dist"
@@ -156,12 +156,9 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
 
     hs = qgram_hashes(p, q, 2, _MASK8)
     table = shift_table(m, q, hs, MOD8)
-    # constant advance after a comparison: first k with an equal suffix hash
-    adv = m - q + 1
-    for k in range(1, m - q + 1):
-        if hs[m - k] == hs[m]:
-            adv = k
-            break
+    # constant advance after a comparison: back to the suffix hash's last
+    # earlier occurrence in the pattern
+    adv = dist_from_hashes(m, q, hs)[m]
 
     occ: list[int] = []
     cmps = reads = hq_n = dist_n = 0
@@ -222,7 +219,7 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
     hq_tab = profile.hq
     dist_tab = profile.dist
     ks = profile.kmp
-    pow4 = profile.ctx.pow4
+    pow4 = pow(4, q - 1, MOD16)  # weight of a window's leading byte
     mq1 = m - q + 1
     first_byte = p[0]
 
@@ -243,7 +240,7 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
             # --- alignment phase: place the window by suffix q-gram hash ---
             while True:
                 e = k
-                # qgram_hash16 / roll_hash16 inlined (see hashing.py)
+                # qgram_hash16, or the qgram_hashes roll, inlined (hashing.py)
                 if rolling and 0 <= e - last_end < q:
                     d = e - last_end
                     h = last_h

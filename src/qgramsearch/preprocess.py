@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .hashing import MOD16, RollContext, check_q, qgram_hashes
+from .hashing import MOD16, check_q, qgram_hashes
 
 
 def strong_border_table(pattern: bytes) -> list[int]:
@@ -86,16 +86,19 @@ def shift_table(m: int, q: int, hs: list[int], size: int) -> list[int]:
     return table
 
 
-def _dist_from_hashes(m: int, q: int, hs: list[int]) -> list[int]:
-    dist = [0] * (m + 1)
-    for j in range(1, q):
-        dist[j] = 1  # inert entries below q; never larger than any real gap
-    prevpos = [0] * MOD16
+def dist_from_hashes(m: int, q: int, hs: list[int]) -> list[int]:
+    """Distance table from the q-gram hashes ``hs`` of either width.
+
+    Entry j in [q, m] is j - p for the largest p in [q, j) with
+    hs[p] == hs[j], and j - q + 1 when there is none.  Only the last
+    position of each hash is kept, so the work and the memory are O(m).
+    """
+    dist = [0] + [1] * m  # entries below q are inert: never above a real gap
+    last: dict[int, int] = {}
     for j in range(q, m + 1):
         h = hs[j]
-        p = prevpos[h]
-        dist[j] = j - p if p else j - q + 1
-        prevpos[h] = j
+        dist[j] = j - last.get(h, q - 1)
+        last[h] = j
     return dist
 
 
@@ -129,11 +132,6 @@ class PatternProfile:
     kmp: list[int] = field(repr=False)
     hq: list[int] = field(repr=False)
     dist: list[int] = field(repr=False)
-    ctx: RollContext = field(repr=False)
-
-    @property
-    def m(self) -> int:
-        return len(self.pattern)
 
 
 def build_profile(pattern: bytes, q: int) -> PatternProfile:
@@ -151,6 +149,5 @@ def build_profile(pattern: bytes, q: int) -> PatternProfile:
         q=q,
         kmp=kmp_shift_table(pat),
         hq=shift_table(m, q, hs, MOD16),
-        dist=_dist_from_hashes(m, q, hs),
-        ctx=RollContext(q),
+        dist=dist_from_hashes(m, q, hs),
     )

@@ -49,14 +49,16 @@ def hq_shift_oracle(pattern: bytes, q: int, hash_value: int) -> int:
     return m - best
 
 
-def dist_oracle(pattern: bytes, q: int, j: int) -> int:
+def dist_oracle(pattern: bytes, q: int, j: int,
+                hash_oracle=hash16_oracle) -> int:
     """Smallest k >= 1 with hash(gram ending at j-k) == hash(gram ending
-    at j), capped at j-q+1; defined as 1 below q."""
+    at j), capped at j-q+1; defined as 1 below q.  ``hash_oracle`` picks
+    the fingerprint (16-bit by default)."""
     if j < q:
         return 1
-    target = hash16_oracle(pattern[j - q:j], q)
+    target = hash_oracle(pattern[j - q:j], q)
     for k in range(1, j - q + 1):
-        if hash16_oracle(pattern[j - q - k:j - k], q) == target:
+        if hash_oracle(pattern[j - q - k:j - k], q) == target:
             return k
     return j - q + 1
 

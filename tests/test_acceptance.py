@@ -15,13 +15,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from qgramsearch import (BenchSpec, CorpusSpec, EmbedSource, RollContext,
-                         alphabet_bytes, build_profile, dist_table,
-                         distq_search, emit_report, fibonacci_string,
-                         hashq_search, hq_shift_table, kmp_search,
-                         kmp_shift_table, ldistq_search, naive_search,
-                         qgram_hash16, random_text_with_occurrences,
-                         roll_hash16, run_benchmark)
+from qgramsearch import (BenchSpec, CorpusSpec, EmbedSource, alphabet_bytes,
+                         build_profile, dist_table, distq_search, emit_report,
+                         fibonacci_string, hashq_search, hq_shift_table,
+                         kmp_search, kmp_shift_table, ldistq_search,
+                         naive_search, qgram_hash16,
+                         random_text_with_occurrences, run_benchmark)
+from qgramsearch.hashing import qgram_hashes
 
 PATTERN = b"abaabbaaa"
 TEXT = b"abbaabbaababbabbaaabaabaabbaaa"
@@ -174,11 +174,9 @@ def test_criterion_09_rolling_hash_property():
             q = rng.randint(1, 8)
             length = rng.randint(q, q + 10)
             s = bytes(rng.randrange(256) for _ in range(length))
-            ctx = RollContext(q)
-            h = qgram_hash16(s[:q], q)
-            for e in range(q, length):
-                h = roll_hash16(h, s[e - q], s[e], ctx)
-                assert h == qgram_hash16(s[e - q + 1:e + 1], q), (s, q, e)
+            hs = qgram_hashes(s, q)
+            for e in range(q, length + 1):
+                assert hs[e] == qgram_hash16(s[e - q:e], q), (s, q, e)
 
 
 def test_criterion_10_benchmark_harness():

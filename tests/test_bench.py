@@ -86,7 +86,7 @@ def test_unstable_counters_across_trials_detected(monkeypatch):
 @pytest.mark.parametrize("overrides", [
     dict(repetitions=0), dict(trials=0), dict(algorithms=("quantum",)),
     dict(algorithms=()), dict(qs=(0,)), dict(pattern_lengths=()),
-    dict(patterns_per_length=0),
+    dict(patterns_per_length=0), dict(algorithms=("kmp", "kmp")),
 ])
 def test_spec_validation(overrides):
     with pytest.raises(ConfigurationError):

@@ -218,6 +218,15 @@ def test_bench_embed_needs_sigma(capsys):
     assert code == 2
 
 
+def test_bench_duplicate_algo_exits_2(capsys):
+    # a repeated name would share one row key and double its figures
+    code, out, err = run(capsys, "bench", "--fib", "12", "--m", "8",
+                         "--algos", "kmp,kmp", "--reps", "1", "--trials", "1",
+                         "--patterns-per-length", "1")
+    assert (code, out) == (2, "")
+    assert "'kmp'" in err
+
+
 def test_bench_bad_q_list_exits_2(capsys):
     code, _, err = run(capsys, "bench", "--fib", "10", "--q", "3,x")
     assert code == 2

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qgramsearch import ConfigurationError, RollContext, qgram_hash16, \
-    qgram_hash8, roll_hash16
+from qgramsearch import MOD8, ConfigurationError, qgram_hash16, qgram_hash8
+from qgramsearch.hashing import qgram_hashes
 from oracles import hash16_oracle, hash8_oracle
 
 
@@ -20,17 +20,10 @@ def test_hash8_known_values():
 
 
 def test_roll_known_values():
-    ctx = RollContext(3)
-    assert roll_hash16(2041, ord("a"), ord("a"), ctx) == 2053  # aba -> baa
-    assert roll_hash16(2037, ord("a"), ord("b"), ctx) == 2038  # aaa -> aab
+    assert qgram_hashes(b"abaa", 3)[3:] == [2041, 2053]  # aba -> baa
+    assert qgram_hashes(b"aaab", 3)[3:] == [2037, 2038]  # aaa -> aab
     # q = 1: the incoming byte simply replaces the hash
-    assert roll_hash16(97, ord("a"), ord("b"), RollContext(1)) == 98
-
-
-def test_roll_context_pow4():
-    assert RollContext(1).pow4 == 1
-    assert RollContext(3).pow4 == 16
-    assert RollContext(8).pow4 == pow(4, 7) % (1 << 16)
+    assert qgram_hashes(b"ab", 1)[1:] == [97, 98]
 
 
 def test_window_length_mismatch_rejected():
@@ -43,7 +36,7 @@ def test_window_length_mismatch_rejected():
 @pytest.mark.parametrize("q", [0, 9, -1])
 def test_q_out_of_range_rejected(q):
     with pytest.raises(ConfigurationError):
-        RollContext(q)
+        qgram_hashes(b"x" * 10, q)
     with pytest.raises(ConfigurationError):
         qgram_hash16(b"x" * max(q, 1), q)
 
@@ -59,11 +52,11 @@ def test_hashes_match_bigint_oracle(q, data):
 def test_roll_equals_recompute_along_string(q, data):
     n = data.draw(st.integers(q, q + 16))
     s = bytes(data.draw(st.lists(st.integers(0, 255), min_size=n, max_size=n)))
-    ctx = RollContext(q)
-    h = qgram_hash16(s[:q], q)
-    for i in range(n - q):
-        h = roll_hash16(h, s[i], s[i + q], ctx)
-        assert h == qgram_hash16(s[i + 1:i + 1 + q], q)
+    hs16 = qgram_hashes(s, q)
+    hs8 = qgram_hashes(s, q, 2, MOD8 - 1)
+    for e in range(q, n + 1):
+        assert hs16[e] == qgram_hash16(s[e - q:e], q)
+        assert hs8[e] == qgram_hash8(s[e - q:e], q)
 
 
 def test_hash_in_range_and_deterministic():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qgramsearch import ConfigurationError, SearchStats, build_profile, \
     distq_search, fibonacci_string, hashq_search, kmp_search, \
     ldistq_search, naive_search
-from oracles import occurrences_oracle
+from oracles import dist_oracle, hash8_oracle, occurrences_oracle
 
 PATTERN = b"abaabbaaa"
 TEXT = b"abbaabbaababbabbaaabaabaabbaaa"
@@ -238,6 +238,10 @@ def test_all_matchers_agree_with_naive(case):
     assert lo.stats.char_comparisons <= 2 * n
     ends = lo.trace.hash_ends
     assert all(b >= a for a, b in zip(ends, ends[1:]))
+    # hashq's post-comparison advance is the 8-bit distance of the suffix
+    # q-gram; one that is too small would still find every occurrence
+    adv = dist_oracle(pattern, q, len(pattern), hash8_oracle)
+    assert all(a == adv for kind, a in ho.trace.shifts if kind == "dist")
 
 
 @given(search_case())

@@ -1,10 +1,13 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgramsearch import ConfigurationError, build_profile, dist_table, \
-    hq_shift_table, kmp_shift_table, qgram_hash16, strong_border_table
+from qgramsearch import MOD16, ConfigurationError, build_profile, \
+    dist_table, hq_shift_table, kmp_shift_table, qgram_hash16, \
+    strong_border_table
 from oracles import dist_oracle, hash16_oracle, hq_shift_oracle, \
     strong_border_oracle
 
@@ -161,7 +164,7 @@ def test_profile_matches_standalone_tables():
     assert prof.kmp == kmp_shift_table(EXAMPLE)
     assert prof.hq == hq_shift_table(EXAMPLE, 3)
     assert prof.dist == dist_table(EXAMPLE, 3)
-    assert prof.m == 9 and prof.q == 3
+    assert len(prof.pattern) == 9 and prof.q == 3
 
 
 @given(st.data())
@@ -179,6 +182,20 @@ def test_profile_tables_match_oracles(data):
         assert prof.hq[c] == hq_shift_oracle(pat, q, c), (pat, q, c)
     for j in range(1, m + 1):
         assert prof.dist[j] == dist_oracle(pat, q, j), (pat, q, j)
+
+
+@pytest.mark.parametrize("m", [1, 16, 200])
+def test_profile_allocates_one_hash_table(m):
+    # the 16-bit hq table is the one allocation the size of the hash space;
+    # the distance table needs only O(m) scratch
+    pat = bytes(random.Random(m).choices(range(256), k=m))
+    tracemalloc.start()
+    try:
+        build_profile(pat, min(3, m))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * sys.getsizeof([0] * MOD16)
 
 
 @pytest.mark.parametrize("pat,q", [(b"abc", 4), (b"abc", 0), (b"abc", 9),
