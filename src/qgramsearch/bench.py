@@ -81,23 +81,39 @@ class ReportRow:
     seed: int
 
 
+def _reject_repeats(values, what: str) -> None:
+    """Raise on a value listed twice: no report column tells its rows apart
+    (and rows keyed on (algo, q) would add up both runs' figures)."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigurationError(f"{what} {value!r} is listed twice")
+
+
 def _validate(spec: BenchSpec) -> None:
     if not spec.algorithms:
         raise ConfigurationError("algorithm list is empty")
-    for i, name in enumerate(spec.algorithms):
+    for name in spec.algorithms:
         if name not in MATCHERS:
             raise ConfigurationError(f"unknown algorithm {name!r}")
-        if name in spec.algorithms[:i]:
-            # rows are keyed on (algo, q): a repeat would double its figures
-            raise ConfigurationError(f"algorithm {name!r} is listed twice")
+    _reject_repeats(spec.algorithms, "algorithm")
     if not spec.qs or any(q < 1 for q in spec.qs):
         raise ConfigurationError(f"q values must be >= 1, got {spec.qs}")
     if not spec.pattern_lengths or any(m < 1 for m in spec.pattern_lengths):
         raise ConfigurationError(
             f"pattern lengths must be >= 1, got {spec.pattern_lengths}")
+    _reject_repeats(spec.pattern_lengths, "pattern length")
     if spec.patterns_per_length < 1:
         raise ConfigurationError(
             f"patterns_per_length must be >= 1, got {spec.patterns_per_length}")
+    if isinstance(spec.source, EmbedSource):
+        if not spec.source.occs:
+            raise ConfigurationError(
+                "embed source needs at least one occ value")
+        _reject_repeats(spec.source.occs, "occ value")
+        if spec.patterns_per_length != 1:
+            raise ConfigurationError(
+                "an embed source has exactly one pattern per corpus, got "
+                f"patterns_per_length={spec.patterns_per_length}")
     if spec.repetitions < 1:
         raise ConfigurationError(
             f"repetitions must be >= 1, got {spec.repetitions}")
@@ -171,8 +187,6 @@ def run_benchmark(spec: BenchSpec) -> list[ReportRow]:
     rows: list[ReportRow] = []
     src = spec.source
     if isinstance(src, EmbedSource):
-        if not src.occs:
-            raise ConfigurationError("embed source needs at least one occ value")
         for m in spec.pattern_lengths:
             for occ in src.occs:
                 gen_seed = rng.getrandbits(63)

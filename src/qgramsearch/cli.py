@@ -20,7 +20,7 @@ import os
 import sys
 
 from .bench import BenchSpec, EmbedSource, FibonacciSource, \
-    FileSource, emit_report, run_benchmark
+    FileSource, _reject_repeats, emit_report, run_benchmark
 from .corpus import CorpusSpec, fibonacci_string, load_text, \
     random_text_with_occurrences
 from .errors import ConfigurationError, Error
@@ -130,6 +130,13 @@ def _cmd_bench(args) -> int:
     if args.strip_newlines and args.text_file is None:
         raise ConfigurationError(
             "--strip-newlines applies only with --text-file")
+    per_length = args.patterns_per_length
+    if per_length is None:
+        per_length = 1 if args.embed_n is not None else 3
+    elif args.embed_n is not None:
+        raise ConfigurationError(
+            "--patterns-per-length applies only with --fib / --text-file"
+            " (an --embed-n corpus has one pattern)")
     if args.text_file is not None:
         sources = [FileSource(args.text_file,
                               strip_newlines=args.strip_newlines)]
@@ -141,6 +148,7 @@ def _cmd_bench(args) -> int:
         occs = tuple(args.embed_occ) if args.embed_occ else (0,)
         sources = [EmbedSource(n=args.embed_n, sigma=sigma, occs=occs)
                    for sigma in _csv_ints(args.embed_sigma, "embed-sigma")]
+    _reject_repeats(sources, "corpus")
     algos = tuple(ALGORITHMS) if args.algos == "all" else \
         tuple(part for part in args.algos.split(",") if part)
     qs, ms = _csv_ints(args.q, "q"), _csv_ints(args.m, "m")
@@ -151,7 +159,7 @@ def _cmd_bench(args) -> int:
             algorithms=algos,
             qs=qs,
             pattern_lengths=ms,
-            patterns_per_length=args.patterns_per_length,
+            patterns_per_length=per_length,
             repetitions=args.reps,
             trials=args.trials,
             seed=args.seed,
@@ -224,7 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--q", default="3", help="comma list of q values")
     p_bench.add_argument("--m", default="8",
                          help="comma list of pattern lengths")
-    p_bench.add_argument("--patterns-per-length", type=int, default=3)
+    p_bench.add_argument("--patterns-per-length", type=int,
+                         help="patterns sampled per length from --fib or "
+                              "--text-file (default 3)")
     p_bench.add_argument("--reps", type=int, default=5,
                          help="searches per timed trial")
     p_bench.add_argument("--trials", type=int, default=3,

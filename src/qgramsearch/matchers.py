@@ -48,8 +48,8 @@ class SearchStats:
     """Work counters for one search run.
 
     char_comparisons counts pattern-vs-text byte tests during window
-    comparison; the alignment phase's single first-byte probe is kept in
-    first_char_checks so the 2n comparison bound stays visible on its own.
+    comparison; the first-byte test that opens each hash-aligned window is
+    counted in first_char_checks instead, so the 2n bound stays visible.
     hashed_char_reads counts text bytes consumed by hashing: q per fresh
     hash, 1 per rolling step.  hq_shifts, dist_shifts and kmp_shifts count
     the recorded shifts of each rule.  windows is the number of alignments
@@ -221,7 +221,6 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
     ks = profile.kmp
     pow4 = pow(4, q - 1, MOD16)  # weight of a window's leading byte
     mq1 = m - q + 1
-    first_byte = p[0]
 
     occ: list[int] = []
     cmps = fchecks = reads = hq_n = dist_n = kmp_n = 0
@@ -237,7 +236,7 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
     while k <= n:
         hashed = j <= 1
         if hashed:
-            # --- alignment phase: place the window by suffix q-gram hash ---
+            # --- alignment phase: hash until a shift aligns a q-gram of p ---
             while True:
                 e = k
                 # qgram_hash16, or the qgram_hashes roll, inlined (hashing.py)
@@ -268,29 +267,19 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
                     windows += 1
                 if trace:
                     log.shifts.append((SHIFT_HQ, sh))
-                if sh == mq1:
-                    continue  # no pattern q-gram hashes like this one
-                pos = m - sh
-                if trace:
-                    log.positions.append(pos)
-                fchecks += 1
-                if first_byte == t[k - m]:
-                    break
-                d = dist_tab[pos]
-                k += d
-                if k > n:
-                    break
-                dist_n += 1
-                windows += 1  # every dist entry is >= 1
-                if trace:
-                    log.shifts.append((SHIFT_DIST, d))
+                if sh != mq1:
+                    break  # some pattern q-gram hashes like this one
             if k > n:
                 break  # window left the text
-            # first byte matched: the comparison phase walks the rest
-            j = 2
-            i = k - m + 2
-        # --- comparison phase, or border phase extending the partial match
-        # kept in j: one extend loop, then a dist-or-kmp or kmp shift ---
+            pos = m - sh
+            if trace:
+                log.positions.append(pos)
+            fchecks += 1  # the extend loop's first test (see SearchStats)
+            j = 1
+            i = k - m + 1
+        # --- comparison or border phase: extend the match held in j, then
+        # a dist-or-kmp or kmp shift.  A first-byte mismatch takes the dist
+        # shift (ks[1] = 1 <= dist) and leaves j <= 0: hash again next. ---
         while j <= m and p[j - 1] == t[i - 1]:
             cmps += 1
             i += 1
@@ -317,7 +306,7 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
             if trace:
                 log.shifts.append((kind, amt))
     return SearchOutcome(occ, SearchStats(
-        char_comparisons=cmps, first_char_checks=fchecks,
+        char_comparisons=cmps - fchecks, first_char_checks=fchecks,
         hashed_char_reads=reads, hq_shifts=hq_n, dist_shifts=dist_n,
         kmp_shifts=kmp_n, windows=windows), log)
 

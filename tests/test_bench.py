@@ -45,7 +45,8 @@ def test_q_clamped_and_deduplicated():
 
 def test_embed_source_rows_per_occ():
     spec = small_spec(source=EmbedSource(n=4000, sigma=4, occs=(0, 16)),
-                      algorithms=("naive", "distq"), pattern_lengths=(8,))
+                      algorithms=("naive", "distq"), pattern_lengths=(8,),
+                      patterns_per_length=1)
     rows = run_benchmark(spec)
     assert [(r.algo, r.occ) for r in rows] == [
         ("naive", 0), ("distq", 0), ("naive", 16), ("distq", 16)]
@@ -66,7 +67,7 @@ def test_disagreement_is_a_hard_failure(monkeypatch):
         return SearchOutcome([], SearchStats(), SearchTrace())
     monkeypatch.setitem(bench_mod.MATCHERS, "kmp", (broken, False))
     spec = small_spec(source=EmbedSource(n=2000, sigma=4, occs=(8,)),
-                      algorithms=("kmp", "distq"))
+                      algorithms=("kmp", "distq"), patterns_per_length=1)
     with pytest.raises(BenchmarkError, match="disagree"):
         run_benchmark(spec)
 
@@ -87,6 +88,11 @@ def test_unstable_counters_across_trials_detected(monkeypatch):
     dict(repetitions=0), dict(trials=0), dict(algorithms=("quantum",)),
     dict(algorithms=()), dict(qs=(0,)), dict(pattern_lengths=()),
     dict(patterns_per_length=0), dict(algorithms=("kmp", "kmp")),
+    # rows that no column tells apart, and an embed corpus's one pattern
+    dict(pattern_lengths=(8, 8)),
+    dict(source=EmbedSource(n=2000, sigma=4, occs=(3, 3)),
+         patterns_per_length=1),
+    dict(source=EmbedSource(n=2000, sigma=4, occs=(3,))),
 ])
 def test_spec_validation(overrides):
     with pytest.raises(ConfigurationError):

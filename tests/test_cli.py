@@ -227,6 +227,24 @@ def test_bench_duplicate_algo_exits_2(capsys):
     assert "'kmp'" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("--fib", "12", "--m", "8,8"), "pattern length 8"),
+    (("--fib", "12,12"), "k=12"),
+    (("--embed-n", "2000", "--embed-sigma", "4,4", "--embed-occ", "3"),
+     "sigma=4"),
+    (("--embed-n", "2000", "--embed-sigma", "4", "--embed-occ", "3",
+      "--embed-occ", "3"), "occ value 3"),
+    (("--embed-n", "2000", "--embed-sigma", "4", "--embed-occ", "3",
+      "--patterns-per-length", "5"), "--patterns-per-length"),
+    (("--fib", "12", "--patterns-per-length", "0"), "patterns_per_length"),
+])
+def test_bench_repeated_or_unused_value_exits_2(capsys, argv, named):
+    code, out, err = run(capsys, "bench", *argv, "--algos", "kmp",
+                         "--reps", "1", "--trials", "1")
+    assert (code, out) == (2, "")
+    assert named in err
+
+
 def test_bench_bad_q_list_exits_2(capsys):
     code, _, err = run(capsys, "bench", "--fib", "10", "--q", "3,x")
     assert code == 2

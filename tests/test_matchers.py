@@ -139,11 +139,9 @@ def test_distq_golden_trace():
     assert out.occurrences == [22]
     assert out.trace.shifts == GOLDEN_SHIFTS
     assert out.trace.positions == [8, 7, 3]
-    assert out.stats.hq_shifts == 3
-    assert out.stats.dist_shifts == 2
-    assert out.stats.kmp_shifts == 1
-    assert out.stats.windows == 7
-    assert out.stats.first_char_checks == 3
+    assert out.stats == SearchStats(
+        char_comparisons=13, first_char_checks=3, hashed_char_reads=9,
+        hq_shifts=3, dist_shifts=2, kmp_shifts=1, windows=7)
 
 
 def test_ldistq_golden_trace_identical():
@@ -154,6 +152,14 @@ def test_ldistq_golden_trace_identical():
     assert a.trace == b.trace
     # same alignments hashed, so here the same read count too (no short steps)
     assert a.stats == b.stats
+    # a periodic text: border-phase kmp shifts between dist shifts
+    text = fibonacci_string(12)
+    prof = build_profile(text[20:28], 3)
+    want = SearchStats(char_comparisons=84, first_char_checks=20,
+                       hashed_char_reads=60, hq_shifts=20, dist_shifts=8,
+                       kmp_shifts=11, windows=29)
+    assert distq_search(text, prof).stats == want
+    assert ldistq_search(text, prof).stats == want
 
 
 def test_distq_no_occurrence_example():
