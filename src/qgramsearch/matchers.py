@@ -108,7 +108,9 @@ def kmp_search(text: bytes, pattern: bytes,
     log = SearchTrace() if trace else None
     if n < m:
         return SearchOutcome([], SearchStats(), log)
-    ks = kmp_shift_table(p)
+    # read about once per text byte: CPython specialises list subscripts,
+    # not array ones, and this private copy costs O(m) per call
+    ks = kmp_shift_table(p).tolist()
     last_start = n - m + 1  # rightmost alignment that fits
     occ: list[int] = []
     cmps = kmp_n = 0
@@ -167,8 +169,8 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
     while k <= n:
         # qgram_hash8 of the window's suffix q-gram, inlined (see hashing.py)
         h = 0
-        for idx in range(k - q, k):
-            h = h * 2 + t[idx]
+        for c in t[k - q:k]:
+            h = h * 2 + c
         h &= _MASK8
         reads += q
         if trace:
@@ -250,8 +252,8 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
                     reads += d
                 else:
                     h = 0
-                    for idx in range(e - q, e):
-                        h = h * 4 + t[idx]
+                    for c in t[e - q:e]:
+                        h = h * 4 + c
                     h &= _MASK16
                     reads += q
                 last_end = e

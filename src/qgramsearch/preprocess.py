@@ -1,8 +1,14 @@
 """Pattern preprocessing: shift tables for the matchers.
 
 All tables use 1-based indexing to match the usual string-matching
-conventions; returned lists carry a padding slot at index 0 so that entry j
-of the table lives at list index j.
+conventions; the position-indexed tables carry a padding slot at index 0 so
+that entry j of the table lives at index j.
+
+Every shift table is an ``array('I')``: one contiguous buffer of unsigned
+32-bit entries.  Entries are non-negative and at most m + 1, so 32 bits
+fit any pattern shorter than 4 GiB, and a value out of range raises
+``OverflowError`` instead of wrapping.  Compare a table with a list by value, through
+``list(table)``.
 
 Three tables are built for a pattern P of length m:
 
@@ -17,6 +23,7 @@ Three tables are built for a pattern P of length m:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
@@ -54,17 +61,18 @@ def strong_border_table(pattern: bytes) -> list[int]:
     return sb
 
 
-def kmp_shift_table(pattern: bytes) -> list[int]:
-    """Shift amounts j - strong_border(j) - 1, entries 1..m+1.
+def kmp_shift_table(pattern: bytes) -> array:
+    """Shift amounts j - strong_border(j) - 1, entries 1..m+1, as an
+    ``array('I')`` (index 0 is padding).
 
     Entry j is how far the pattern slides after a mismatch at position j
     (entry m+1: after a full match).  Every entry is in [1, j].
 
-    >>> kmp_shift_table(b"aa")[1:]
+    >>> list(kmp_shift_table(b"aa")[1:])
     [1, 2, 1]
     """
     sb = strong_border_table(pattern)
-    return [0] + [j - sb[j] - 1 for j in range(1, len(sb))]
+    return array("I", [0] + [j - sb[j] - 1 for j in range(1, len(sb))])
 
 
 def validate_q(m: int, q: int) -> None:
@@ -76,24 +84,26 @@ def validate_q(m: int, q: int) -> None:
         raise ConfigurationError(f"q = {q} exceeds pattern length m = {m}")
 
 
-def shift_table(m: int, q: int, hs: list[int], size: int) -> list[int]:
-    """Hash shift table over ``size`` hash values from the q-gram hashes
-    ``hs`` (as returned by :func:`~qgramsearch.hashing.qgram_hashes`)."""
+def shift_table(m: int, q: int, hs: list[int], size: int) -> array:
+    """Hash shift ``array('I')`` over ``size`` hash values, from the
+    q-gram hashes ``hs`` (as returned by
+    :func:`~qgramsearch.hashing.qgram_hashes`)."""
     # default m-q+1; overwriting in increasing j keeps the rightmost q-gram
-    table = [m - q + 1] * size
+    table = array("I", [m - q + 1]) * size
     for j in range(q, m + 1):
         table[hs[j]] = m - j
     return table
 
 
-def dist_from_hashes(m: int, q: int, hs: list[int]) -> list[int]:
-    """Distance table from the q-gram hashes ``hs`` of either width.
+def dist_from_hashes(m: int, q: int, hs: list[int]) -> array:
+    """Distance ``array('I')`` from the q-gram hashes ``hs`` of either width.
 
     Entry j in [q, m] is j - p for the largest p in [q, j) with
     hs[p] == hs[j], and j - q + 1 when there is none.  Only the last
     position of each hash is kept, so the work and the memory are O(m).
     """
-    dist = [0] + [1] * m  # entries below q are inert: never above a real gap
+    # entries below q are inert: never above a real gap
+    dist = array("I", [0] + [1] * m)
     last: dict[int, int] = {}
     for j in range(q, m + 1):
         h = hs[j]
@@ -102,8 +112,8 @@ def dist_from_hashes(m: int, q: int, hs: list[int]) -> list[int]:
     return dist
 
 
-def hq_shift_table(pattern: bytes, q: int) -> list[int]:
-    """Hash shift table over the full 16-bit hash space.
+def hq_shift_table(pattern: bytes, q: int) -> array:
+    """Hash shift ``array('I')`` over the full 16-bit hash space.
 
     Entry c is m - j for the rightmost pattern position j in [q, m] whose
     q-gram hashes to c, and m - q + 1 when no pattern q-gram does.
@@ -111,8 +121,9 @@ def hq_shift_table(pattern: bytes, q: int) -> list[int]:
     return build_profile(pattern, q).hq
 
 
-def dist_table(pattern: bytes, q: int) -> list[int]:
-    """Distance to the nearest earlier q-gram with the same hash, entries 1..m.
+def dist_table(pattern: bytes, q: int) -> array:
+    """Distance to the nearest earlier q-gram with the same hash, entries
+    1..m, as an ``array('I')`` (index 0 is padding).
 
     dist[j] = min k >= 1 with hash(P[j-q+1-k : j-k]) = hash(P[j-q+1 : j]),
     capped at j-q+1; entries below q are fixed at 1 and never consulted.
@@ -124,14 +135,16 @@ def dist_table(pattern: bytes, q: int) -> list[int]:
 class PatternProfile:
     """Everything the distance-shift matchers need about one pattern.
 
-    The list fields are shared, not copied; treat them as read-only.
+    ``kmp`` (entries 1..m+1), ``hq`` (one entry per 16-bit hash) and
+    ``dist`` (entries 1..m) are ``array('I')`` tables, shared, not copied;
+    treat them as read-only.
     """
 
     pattern: bytes
     q: int
-    kmp: list[int] = field(repr=False)
-    hq: list[int] = field(repr=False)
-    dist: list[int] = field(repr=False)
+    kmp: array = field(repr=False)
+    hq: array = field(repr=False)
+    dist: array = field(repr=False)
 
 
 def build_profile(pattern: bytes, q: int) -> PatternProfile:

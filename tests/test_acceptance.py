@@ -52,6 +52,7 @@ def fuzz():
     rng = random.Random(FUZZ_SEED)
     eq_failures = []      # occurrences differ from naive (or matcher raised)
     cmp_violations = []   # char_comparisons > 2n
+    read_violations = []  # hashed_char_reads above the O(n + m) bounds
     trace_failures = []   # distq and ldistq traces differ
     for i in range(FUZZ_CASES):
         sigma = rng.choice((2, 4, 26, 95))
@@ -89,6 +90,10 @@ def fuzz():
             cmps = outcomes[name].stats.char_comparisons
             if cmps > 2 * n:
                 cmp_violations.append(f"{tag}: {name} made {cmps} > 2n")
+        for name, bound in (("ldistq", n + m), ("distq", q * (n + m))):
+            reads = outcomes[name].stats.hashed_char_reads
+            if reads > bound:
+                read_violations.append(f"{tag}: {name} read {reads} > {bound}")
         d, l = outcomes["distq"].trace, outcomes["ldistq"].trace
         if d.shifts != l.shifts or d.positions != l.positions:
             trace_failures.append(tag)
@@ -96,14 +101,16 @@ def fuzz():
                            elapsed=time.perf_counter() - started,
                            eq_failures=eq_failures,
                            cmp_violations=cmp_violations,
+                           read_violations=read_violations,
                            trace_failures=trace_failures)
 
 
 def test_criterion_01_golden_tables():
     with criterion(1, "golden preprocessing tables exact", limit_s=1.0):
         dist = dist_table(PATTERN, 3)
-        assert dist[3:] == [1, 2, 3, 4, 5, 4, 7]
-        assert kmp_shift_table(PATTERN)[1:] == [1, 1, 3, 2, 4, 3, 7, 6, 7, 8]
+        assert list(dist[3:]) == [1, 2, 3, 4, 5, 4, 7]
+        assert list(kmp_shift_table(PATTERN)[1:]) == \
+            [1, 1, 3, 2, 4, 3, 7, 6, 7, 8]
         hq = hq_shift_table(PATTERN, 3)
         pinned = {2041: 6, 2053: 1, 2038: 4, 2042: 3, 2057: 2, 2037: 0}
         for h, shift in pinned.items():
@@ -213,3 +220,38 @@ def test_criterion_10_benchmark_harness():
         strip = lambda rs: [(r.algo, r.q, r.m, r.n, r.occ, r.reps, r.stats,
                              r.seed) for r in rs]
         assert strip(rows) == strip(one_run())
+
+
+def test_criterion_11_hashed_read_bounds(fuzz):
+    with criterion(11, "ldistq hashes <= n + m and distq <= q(n + m) text "
+                       "bytes on every fuzz case"):
+        assert fuzz.read_violations == [], fuzz.read_violations[:5]
+
+
+def test_criterion_12_occurrence_sweep_ordering():
+    # the abstract's "particularly when a pattern frequently appears", in
+    # counters: the grid of `qgramsearch bench --embed-n 200000
+    # --embed-sigma 4,95 --embed-occ 0 ... --embed-occ 16384 --m 8 --q 3
+    # --algos distq,hashq --seed 0`
+    with criterion(12, "distq hashes less as occurrences grow and works "
+                       "less than hashq in every occ-sweep cell",
+                   limit_s=30.0):
+        occs = (0, 128, 1024, 4096, 8192, 16384)
+        ends = {}
+        for sigma in (4, 95):
+            rows = run_benchmark(BenchSpec(
+                source=EmbedSource(n=200_000, sigma=sigma, occs=occs),
+                algorithms=("distq", "hashq"), qs=(3,), pattern_lengths=(8,),
+                seed=0))
+            distq = [r.stats for r in rows if r.algo == "distq"]
+            hashq = [r.stats for r in rows if r.algo == "hashq"]
+            assert [r.occ for r in rows if r.algo == "distq"] == list(occs)
+            reads = [s.hashed_char_reads for s in distq]
+            assert reads == sorted(reads, reverse=True), (sigma, reads)
+            ends[sigma] = (reads[0], reads[-1])
+            for occ, d, h in zip(occs, distq, hashq):
+                d_work = (d.char_comparisons + d.first_char_checks
+                          + d.hashed_char_reads)
+                h_work = h.char_comparisons + h.hashed_char_reads
+                assert d_work < h_work, (sigma, occ, d_work, h_work)
+        assert ends == {4: (99_156, 67_947), 95: (99_999, 68_040)}

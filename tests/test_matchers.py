@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,6 +243,10 @@ def test_all_matchers_agree_with_naive(case):
     assert ko.stats.char_comparisons <= 2 * n
     assert do.stats.char_comparisons <= 2 * n
     assert lo.stats.char_comparisons <= 2 * n
+    # O(n + m) hashed bytes for the rolling variant, O((n + m)q) for distq
+    m = len(pattern)
+    assert lo.stats.hashed_char_reads <= n + m
+    assert do.stats.hashed_char_reads <= q * (n + m)
     ends = lo.trace.hash_ends
     assert all(b >= a for a, b in zip(ends, ends[1:]))
     # hashq's post-comparison advance is the 8-bit distance of the suffix
@@ -265,6 +270,31 @@ def test_recorded_shifts_sum_to_window_travel(case):
         end += amt
         assert end <= n
     assert out.stats.windows == 1 + sum(1 for _, a in out.trace.shifts if a > 0)
+
+
+def test_pattern_longer_than_16_bit_shifts():
+    # m = 70 000: shift entries pass 65 535; the text is only a few hundred
+    # bytes longer than the pattern, so the naive oracle stays cheap
+    rng = random.Random(70_000)
+    m = 70_000
+    noise = lambda k: bytes(rng.choices(range(256), k=k))
+    random_pattern = noise(m)
+    unit = bytes(rng.choices(b"acgt", k=97))
+    periodic = (unit * (m // 97 + 5))[:m + 300]  # 4 occurrences, 97 apart
+    for text, pattern in (
+            (noise(137) + random_pattern + noise(163), random_pattern),
+            (periodic, periodic[:m])):
+        expected = naive_search(text, pattern)
+        assert expected
+        for q in (3, 8):
+            prof = build_profile(pattern, q)
+            for table in (prof.kmp, prof.hq, prof.dist):
+                assert isinstance(table, array) and table.typecode == "I"
+            assert max(prof.kmp) > 65_535 and max(prof.hq) > 65_535
+            assert hashq_search(text, pattern, q).occurrences == expected
+            assert distq_search(text, prof).occurrences == expected
+            assert ldistq_search(text, prof).occurrences == expected
+        assert kmp_search(text, pattern).occurrences == expected
 
 
 def test_stats_are_plain_counters():
