@@ -14,8 +14,8 @@ from .errors import BenchmarkError, ConfigurationError, Error, GenerationError
 from .hashing import MAX_Q, MOD8, MOD16, qgram_hash8, qgram_hash16
 from .matchers import ALGORITHMS, SearchOutcome, SearchStats, SearchTrace, \
     distq_search, hashq_search, kmp_search, ldistq_search, naive_search
-from .preprocess import PatternProfile, build_profile, dist_table, \
-    hq_shift_table, kmp_shift_table, strong_border_table
+from .preprocess import PatternProfile, build_profile, kmp_shift_table, \
+    strong_border_table
 
 __version__ = "0.1.0"
 
@@ -23,11 +23,10 @@ __all__ = [
     "ALGORITHMS", "BenchSpec", "BenchmarkError", "ConfigurationError",
     "CorpusSpec", "EmbedSource", "Error", "FibonacciSource", "FileSource",
     "GeneratedCorpus", "GenerationError", "MAX_Q", "MOD16", "MOD8",
-    "PatternProfile", "ReportRow", "SearchOutcome",
-    "SearchStats", "SearchTrace", "alphabet_bytes", "build_profile",
-    "dist_table", "distq_search", "emit_report", "fibonacci_string",
-    "hashq_search", "hq_shift_table", "kmp_search", "kmp_shift_table",
-    "ldistq_search", "load_text", "naive_search", "qgram_hash16",
-    "qgram_hash8", "random_text_with_occurrences",
+    "PatternProfile", "ReportRow", "SearchOutcome", "SearchStats",
+    "SearchTrace", "alphabet_bytes", "build_profile", "distq_search",
+    "emit_report", "fibonacci_string", "hashq_search", "kmp_search",
+    "kmp_shift_table", "ldistq_search", "load_text", "naive_search",
+    "qgram_hash16", "qgram_hash8", "random_text_with_occurrences",
     "run_benchmark", "sample_patterns", "strong_border_table",
 ]

@@ -23,7 +23,8 @@ from time import perf_counter
 from .corpus import CorpusSpec, load_text, fibonacci_string, \
     random_text_with_occurrences, sample_patterns
 from .errors import BenchmarkError, ConfigurationError
-from .matchers import ALGORITHMS, MATCHERS, SearchStats, clamp_q
+from .hashing import clamp_q
+from .matchers import ALGORITHMS, MATCHERS, SearchStats
 
 CSV_COLUMNS = ("algo", "q", "m", "n", "occ", "reps", "total_ms",
                "char_cmp", "first_char_checks", "hash_char_reads",

@@ -24,8 +24,8 @@ from .bench import BenchSpec, EmbedSource, FibonacciSource, \
 from .corpus import CorpusSpec, fibonacci_string, load_text, \
     random_text_with_occurrences
 from .errors import ConfigurationError, Error
-from .hashing import MAX_Q
-from .matchers import ALGORITHMS, MATCHERS, clamp_q
+from .hashing import MAX_Q, clamp_q
+from .matchers import ALGORITHMS, MATCHERS
 
 
 def run_search_command(text: bytes, pattern: bytes, algorithm: str, q: int,
@@ -78,6 +78,10 @@ def _load_operand(literal, path, strip_newlines: bool, what: str) -> bytes:
 
 
 def _cmd_search(args) -> int:
+    files = (args.text_file, args.pattern_file)
+    if args.strip_newlines and files == (None, None):
+        raise ConfigurationError(
+            "--strip-newlines applies only with --text-file / --pattern-file")
     text = _load_operand(args.text, args.text_file, args.strip_newlines, "text")
     pattern = _load_operand(args.pattern, args.pattern_file,
                             args.strip_newlines, "pattern")

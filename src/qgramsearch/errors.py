@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-Plain ``ValueError`` is raised for contract violations (malformed direct
-arguments such as an empty pattern or a window whose length disagrees with q).
-The subclasses below mark the coarser failure categories that callers, in
-particular the CLI, need to tell apart.
+Every rejected input (an empty pattern, a q outside [1, min(m, 8)], a hash
+window whose length is not q, a bad CLI or benchmark setting) raises
+:class:`ConfigurationError`, a ``ValueError``; the CLI exits 2 on it.  Plain
+``ValueError`` is left for ``emit_report`` given no rows.  The other
+subclasses mark the run-time failures, on which the CLI exits 1.
 """
 
 

@@ -9,8 +9,10 @@ The 16-bit hash feeds the distance-based shift tables and the 8-bit hash
 the hash-shift baseline.  Both admit a constant-time rolling update when the
 window slides one byte to the right; :func:`qgram_hashes` is the one rolling
 pass, used for every pattern.  This module is the one definition of both
-polynomials and of the valid q range; the matchers' text-side loops inline
-the same arithmetic for speed.
+polynomials and of the q-gram input contract: :func:`check_q` is the one
+check of a (pattern length, q) pair, and :func:`clamp_q` the one clamp of a
+requested q to the q that runs.  The matchers' text-side loops inline the
+same arithmetic for speed.
 
 q is capped at 8: for q >= 9 the weight 4^(q-1) of the outgoing byte is
 0 mod 2^16 and the rolling update could no longer remove it.
@@ -28,17 +30,28 @@ _MASK16 = MOD16 - 1
 _MASK8 = MOD8 - 1
 
 
-def check_q(q: int) -> None:
-    """Raise :class:`ConfigurationError` unless 1 <= q <= MAX_Q."""
+def check_q(q: int, m: int | None = None) -> None:
+    """Raise :class:`ConfigurationError` unless the pattern length ``m`` is
+    positive and 1 <= q <= min(m, MAX_Q), checked in that order; without
+    ``m`` (a lone window) only 1 <= q <= MAX_Q is checked."""
+    if m == 0:
+        raise ConfigurationError("pattern must be non-empty")
     if not 1 <= q <= MAX_Q:
         raise ConfigurationError(f"q must be in [1, {MAX_Q}], got {q}")
+    if m is not None and q > m:
+        raise ConfigurationError(f"q = {q} exceeds pattern length m = {m}")
+
+
+def clamp_q(q: int, m: int) -> int:
+    """The q that a q-taking matcher runs with on a length-m pattern."""
+    return min(q, m, MAX_Q)
 
 
 def _hash_window(window: bytes, q: int, base: int, mask: int) -> int:
     """The q-gram polynomial, evaluated afresh on one q-byte window."""
     check_q(q)
     if len(window) != q:
-        raise ValueError(f"window length {len(window)} != q = {q}")
+        raise ConfigurationError(f"window length {len(window)} != q = {q}")
     h = 0
     for b in window:
         h = h * base + b

@@ -34,9 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .hashing import MAX_Q, MOD8, MOD16, _MASK8, _MASK16, qgram_hashes
+from .errors import ConfigurationError
+from .hashing import MOD8, MOD16, _MASK8, _MASK16, check_q, qgram_hashes
 from .preprocess import PatternProfile, build_profile, dist_from_hashes, \
-    kmp_shift_table, shift_table, validate_q
+    kmp_shift_table, shift_table
 
 SHIFT_HQ = "hq"
 SHIFT_DIST = "dist"
@@ -92,7 +93,7 @@ def naive_search(text: bytes, pattern: bytes) -> list[int]:
     t = bytes(text)
     p = bytes(pattern)
     if not p:
-        raise ValueError("pattern must be non-empty")
+        raise ConfigurationError("pattern must be non-empty")
     m = len(p)
     return [i + 1 for i in range(len(t) - m + 1) if t[i:i + m] == p]
 
@@ -103,7 +104,7 @@ def kmp_search(text: bytes, pattern: bytes,
     t = bytes(text)
     p = bytes(pattern)
     if not p:
-        raise ValueError("pattern must be non-empty")
+        raise ConfigurationError("pattern must be non-empty")
     n, m = len(t), len(p)
     log = SearchTrace() if trace else None
     if n < m:
@@ -116,7 +117,8 @@ def kmp_search(text: bytes, pattern: bytes,
     cmps = kmp_n = 0
     i = 1  # text cursor
     j = 1  # pattern cursor; window starts at i - j + 1
-    while i <= n:
+    # the window always fits here: i - j + 1 <= last_start, so i <= n
+    while True:
         if j == 0:
             # resume at the next text byte against the pattern head
             i += 1
@@ -132,10 +134,11 @@ def kmp_search(text: bytes, pattern: bytes,
         # after a full match (j = m + 1) or a mismatch at j
         amt = ks[j]
         j -= amt
-        if i - j + 1 <= last_start:
-            kmp_n += 1
-            if trace:
-                log.shifts.append((SHIFT_KMP, amt))
+        if i - j + 1 > last_start:
+            break  # the next window does not fit
+        kmp_n += 1
+        if trace:
+            log.shifts.append((SHIFT_KMP, amt))
     # every kmp shift is positive, so each recorded one opens a window
     return SearchOutcome(occ, SearchStats(
         char_comparisons=cmps, kmp_shifts=kmp_n, windows=1 + kmp_n), log)
@@ -153,7 +156,7 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
     t = bytes(text)
     p = bytes(pattern)
     n, m = len(t), len(p)
-    validate_q(m, q)
+    check_q(q, m)
     log = SearchTrace() if trace else None
 
     hs = qgram_hashes(p, q, 2, _MASK8)
@@ -328,11 +331,6 @@ def ldistq_search(text: bytes, profile: PatternProfile,
     O(n + m) overall.
     """
     return _distq_core(text, profile, rolling=True, trace=trace)
-
-
-def clamp_q(q: int, m: int) -> int:
-    """The q that a q-taking matcher runs with on a length-m pattern."""
-    return min(q, m, MAX_Q)
 
 
 # The one list of algorithms: name -> (runner, takes_q).  A runner maps

@@ -1,24 +1,19 @@
 """Pattern preprocessing: shift tables for the matchers.
 
-All tables use 1-based indexing to match the usual string-matching
-conventions; the position-indexed tables carry a padding slot at index 0 so
-that entry j of the table lives at index j.
+Tables are 1-based: the position-indexed ones carry a padding slot at index
+0, so entry j lives at index j.  Each is an ``array('I')``, one contiguous
+buffer of unsigned 32-bit entries; entries are at most m + 1, and a value
+out of range raises ``OverflowError`` instead of wrapping.  Compare a table
+with a list by value, through ``list(table)``.
 
-Every shift table is an ``array('I')``: one contiguous buffer of unsigned
-32-bit entries.  Entries are non-negative and at most m + 1, so 32 bits
-fit any pattern shorter than 4 GiB, and a value out of range raises
-``OverflowError`` instead of wrapping.  Compare a table with a list by value, through
-``list(table)``.
+:func:`build_profile` is the one builder of a pattern's tables, once
+:func:`~qgramsearch.hashing.check_q` has accepted the (pattern, q) pair:
 
-Three tables are built for a pattern P of length m:
-
-* strong border / shift table for the classic prefix-based matcher,
-* a 16-bit hash shift table mapping each hash value to how far the window
-  may jump so its suffix q-gram lines up with the rightmost pattern q-gram
-  having that hash,
-* a per-position distance table: dist[j] is the smallest k >= 1 such that
-  the q-gram ending at j-k hashes like the one ending at j (capped at
-  j-q+1 when no earlier q-gram collides).
+* ``kmp``: the strong border shifts of the prefix-based matcher;
+* ``hq``: entry c is how far the window may jump so that its suffix q-gram
+  lines up with the rightmost pattern q-gram hashing to c;
+* ``dist``: entry j is the smallest k >= 1 such that the q-gram ending at
+  j-k hashes like the one ending at j (capped at j-q+1 when none does).
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ def strong_border_table(pattern: bytes) -> list[int]:
     pat = bytes(pattern)
     m = len(pat)
     if m == 0:
-        raise ValueError("pattern must be non-empty")
+        raise ConfigurationError("pattern must be non-empty")
     sb = [0] * (m + 2)
     sb[1] = -1
     i = 0  # 0-based scan position; sb[i+1] is being produced
@@ -75,15 +70,6 @@ def kmp_shift_table(pattern: bytes) -> array:
     return array("I", [0] + [j - sb[j] - 1 for j in range(1, len(sb))])
 
 
-def validate_q(m: int, q: int) -> None:
-    """Reject an empty pattern and any q outside [1, min(m, MAX_Q)]."""
-    if m == 0:
-        raise ConfigurationError("pattern must be non-empty")
-    check_q(q)
-    if q > m:
-        raise ConfigurationError(f"q = {q} exceeds pattern length m = {m}")
-
-
 def shift_table(m: int, q: int, hs: list[int], size: int) -> array:
     """Hash shift ``array('I')`` over ``size`` hash values, from the
     q-gram hashes ``hs`` (as returned by
@@ -112,25 +98,6 @@ def dist_from_hashes(m: int, q: int, hs: list[int]) -> array:
     return dist
 
 
-def hq_shift_table(pattern: bytes, q: int) -> array:
-    """Hash shift ``array('I')`` over the full 16-bit hash space.
-
-    Entry c is m - j for the rightmost pattern position j in [q, m] whose
-    q-gram hashes to c, and m - q + 1 when no pattern q-gram does.
-    """
-    return build_profile(pattern, q).hq
-
-
-def dist_table(pattern: bytes, q: int) -> array:
-    """Distance to the nearest earlier q-gram with the same hash, entries
-    1..m, as an ``array('I')`` (index 0 is padding).
-
-    dist[j] = min k >= 1 with hash(P[j-q+1-k : j-k]) = hash(P[j-q+1 : j]),
-    capped at j-q+1; entries below q are fixed at 1 and never consulted.
-    """
-    return build_profile(pattern, q).dist
-
-
 @dataclass(frozen=True)
 class PatternProfile:
     """Everything the distance-shift matchers need about one pattern.
@@ -155,7 +122,7 @@ def build_profile(pattern: bytes, q: int) -> PatternProfile:
     """
     pat = bytes(pattern)
     m = len(pat)
-    validate_q(m, q)
+    check_q(q, m)
     hs = qgram_hashes(pat, q)
     return PatternProfile(
         pattern=pat,

@@ -16,8 +16,8 @@ from types import SimpleNamespace
 import pytest
 
 from qgramsearch import (BenchSpec, CorpusSpec, EmbedSource, alphabet_bytes,
-                         build_profile, dist_table, distq_search, emit_report,
-                         fibonacci_string, hashq_search, hq_shift_table,
+                         build_profile, distq_search, emit_report,
+                         fibonacci_string, hashq_search,
                          kmp_search, kmp_shift_table, ldistq_search,
                          naive_search, qgram_hash16,
                          random_text_with_occurrences, run_benchmark)
@@ -107,11 +107,11 @@ def fuzz():
 
 def test_criterion_01_golden_tables():
     with criterion(1, "golden preprocessing tables exact", limit_s=1.0):
-        dist = dist_table(PATTERN, 3)
+        dist = build_profile(PATTERN, 3).dist
         assert list(dist[3:]) == [1, 2, 3, 4, 5, 4, 7]
         assert list(kmp_shift_table(PATTERN)[1:]) == \
             [1, 1, 3, 2, 4, 3, 7, 6, 7, 8]
-        hq = hq_shift_table(PATTERN, 3)
+        hq = build_profile(PATTERN, 3).hq
         pinned = {2041: 6, 2053: 1, 2038: 4, 2042: 3, 2057: 2, 2037: 0}
         for h, shift in pinned.items():
             assert hq[h] == shift, (h, hq[h], shift)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import qgramsearch
-from qgramsearch import naive_search
+from qgramsearch import ALGORITHMS, naive_search
 from qgramsearch.cli import build_parser, main, run_search_command
 
 TEXT = "abbaabbaababbabbaaabaabaabbaaa"
@@ -77,6 +77,22 @@ def test_search_strip_newlines(capsys, tmp_path):
     assert (code, out) == (0, "22\n")
 
 
+def test_search_strip_newlines_with_literals_exits_2(capsys):
+    # only a file can hold the LF bytes the flag drops
+    code, out, err = run(capsys, "search", "--strip-newlines",
+                         "--text", "a\nb", "--pattern", "ab")
+    assert (code, out) == (2, "")
+    assert err == "error: --strip-newlines applies only with --text-file " \
+                  "/ --pattern-file\n"
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_search_empty_pattern_exits_2(capsys, algo):
+    code, out, err = run(capsys, "search", "--algo", algo,
+                         "--text", TEXT, "--pattern", "")
+    assert (code, out, err) == (2, "", "error: pattern must be non-empty\n")
+
+
 def test_search_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "search", "--text-file", "/nonexistent/x",
                        "--pattern", "a")
@@ -128,6 +144,32 @@ def test_gen_occ_exact_count(capsys, tmp_path):
     assert (len(text), len(pattern)) == (3000, 8)
     assert len(naive_search(text, pattern)) == 7
     assert "7 occurrences" in err
+
+
+def test_gen_occ_impossible_spec_exits_1(capsys, tmp_path):
+    # occ * m == n forces the text "abababab", which holds the drawn
+    # pattern "abab" 3 times, not 2: no corpus meets the spec
+    tp, pp = tmp_path / "t.bin", tmp_path / "p.bin"
+    code, out, err = run(capsys, "gen", "occ", "--n", "8", "--sigma", "2",
+                         "--m", "4", "--occ", "2", "--seed", "3",
+                         "--out", str(tp), "--pattern-out", str(pp))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: embedding kept creating stray occurrences")
+    assert not tp.exists() and not pp.exists()
+
+
+@pytest.mark.parametrize("strip, n", [(False, 60), (True, 55)])
+def test_bench_text_file(capsys, tmp_path, strip, n):
+    tf = tmp_path / "t.txt"
+    data = b"abaababaab\n" * 5 + b"ababa"  # 60 bytes, 5 of them LF
+    tf.write_bytes(data)
+    flags = ("--strip-newlines",) if strip else ()
+    code, out, _ = run(capsys, "bench", "--text-file", str(tf),
+                       "--algos", "kmp,distq", "--m", "6", "--reps", "1",
+                       "--trials", "1", *flags)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert rows and {row.split(",")[3] for row in rows} == {str(n)}
 
 
 def test_bench_csv_to_stdout(capsys):

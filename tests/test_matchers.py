@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qgramsearch import ConfigurationError, SearchStats, build_profile, \
     distq_search, fibonacci_string, hashq_search, kmp_search, \
-    ldistq_search, naive_search
+    kmp_shift_table, ldistq_search, naive_search, strong_border_table
+from qgramsearch.hashing import qgram_hashes
 from oracles import dist_oracle, hash8_oracle, occurrences_oracle
 
 PATTERN = b"abaabbaaa"
@@ -60,12 +61,15 @@ def test_naive_matches_quadratic_oracle():
 
 
 def test_empty_pattern_rejected_everywhere():
-    with pytest.raises(ValueError):
-        naive_search(b"abc", b"")
-    with pytest.raises(ValueError):
-        kmp_search(b"abc", b"")
-    with pytest.raises(ValueError):
-        hashq_search(b"abc", b"", 1)
+    for call in (lambda: naive_search(b"abc", b""),
+                 lambda: kmp_search(b"abc", b""),
+                 lambda: hashq_search(b"abc", b"", 1),
+                 lambda: build_profile(b"", 1),
+                 lambda: kmp_shift_table(b""),
+                 lambda: strong_border_table(b""),
+                 lambda: qgram_hashes(b"", 1)):
+        with pytest.raises(ConfigurationError):
+            call()
 
 
 # --- kmp ---
@@ -91,6 +95,14 @@ def test_kmp_single_window():
     out = kmp_search(b"abc", b"abc")
     assert out.occurrences == [1]
     assert out.stats.windows == 1
+
+
+def test_kmp_tests_no_byte_past_the_last_window():
+    # windows start at 1..4; the shift after the mismatch at 4 would open
+    # a window at 5, which does not fit, so its 2 byte tests never happen
+    stats = kmp_search(b"xxxxab", b"abc").stats
+    assert (stats.windows, stats.kmp_shifts) == (4, 3)
+    assert stats.char_comparisons == 4
 
 
 # --- hashq ---

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgramsearch import MOD16, ConfigurationError, build_profile, \
-    dist_table, hq_shift_table, kmp_shift_table, qgram_hash16, \
-    strong_border_table
+    kmp_shift_table, qgram_hash16, strong_border_table
 from oracles import dist_oracle, hash16_oracle, hq_shift_oracle, \
     strong_border_oracle
 
@@ -72,17 +71,10 @@ def test_kmp_shift_bounds_and_self_overlap(pat):
         assert pat[:max(0, j - k - 1)] == pat[k:j - 1], (pat, j)
 
 
-def test_empty_pattern_rejected():
-    with pytest.raises(ValueError):
-        strong_border_table(b"")
-    with pytest.raises(ValueError):
-        kmp_shift_table(b"")
-
-
 # --- hash shift table ---
 
 def test_hq_table_example_pattern():
-    table = hq_shift_table(EXAMPLE, 3)
+    table = build_profile(EXAMPLE, 3).hq
     expected = {2041: 6, 2053: 1, 2038: 4, 2042: 3, 2057: 2, 2037: 0}
     for h, want in expected.items():
         assert table[h] == want
@@ -90,14 +82,14 @@ def test_hq_table_example_pattern():
 
 
 def test_hq_table_uniform_pattern():
-    table = hq_shift_table(b"aaa", 3)
+    table = build_profile(b"aaa", 3).hq
     h = qgram_hash16(b"aaa", 3)
     assert table[h] == 0
     assert all(table[c] == 1 for c in range(1 << 16) if c != h)
 
 
 def test_hq_table_two_gram_pattern():
-    table = hq_shift_table(b"abab", 2)
+    table = build_profile(b"abab", 2).hq
     assert table[qgram_hash16(b"ab", 2)] == 0  # rightmost "ab" ends at 4
     assert table[qgram_hash16(b"ba", 2)] == 1  # rightmost "ba" ends at 3
     others = set(range(1 << 16)) - {qgram_hash16(b"ab", 2), qgram_hash16(b"ba", 2)}
@@ -110,7 +102,7 @@ def test_hq_table_full_direct_evaluation():
         m = rng.randint(4, 18)
         pat = bytes(rng.choices(b"abc", k=m))
         q = rng.randint(1, min(8, m))
-        table = hq_shift_table(pat, q)
+        table = build_profile(pat, q).hq
         # big-int oracle hash of every pattern q-gram, computed once
         gram = [(j, hash16_oracle(pat[j - q:j], q)) for j in range(q, m + 1)]
         for c in range(1 << 16):
@@ -126,7 +118,7 @@ def test_hq_table_full_direct_evaluation():
 def test_hq_table_spot_checks(data):
     pat = data.draw(st.binary(min_size=1, max_size=32))
     q = data.draw(st.integers(1, min(8, len(pat))))
-    table = hq_shift_table(pat, q)
+    table = build_profile(pat, q).hq
     m = len(pat)
     for j in range(q, m + 1):
         h = qgram_hash16(pat[j - q:j], q)
@@ -139,12 +131,13 @@ def test_hq_table_spot_checks(data):
 # --- distance table ---
 
 def test_dist_table_example_pattern():
-    assert list(dist_table(EXAMPLE, 3)[1:]) == [1, 1, 1, 2, 3, 4, 5, 4, 7]
+    assert list(build_profile(EXAMPLE, 3).dist[1:]) == \
+        [1, 1, 1, 2, 3, 4, 5, 4, 7]
 
 
 def test_dist_table_small_patterns():
-    assert list(dist_table(b"aaaa", 3)[1:]) == [1, 1, 1, 1]
-    assert list(dist_table(b"abcabc", 3)[3:]) == [1, 2, 3, 3]
+    assert list(build_profile(b"aaaa", 3).dist[1:]) == [1, 1, 1, 1]
+    assert list(build_profile(b"abcabc", 3).dist[3:]) == [1, 2, 3, 3]
 
 
 @given(st.data())
@@ -152,7 +145,7 @@ def test_dist_table_small_patterns():
 def test_dist_table_matches_direct_formula(data):
     pat = data.draw(st.binary(min_size=1, max_size=40))
     q = data.draw(st.integers(1, min(8, len(pat))))
-    dist = dist_table(pat, q)
+    dist = build_profile(pat, q).dist
     for j in range(1, len(pat) + 1):
         assert dist[j] == dist_oracle(pat, q, j), (pat, q, j)
         assert 1 <= dist[j] <= max(1, j - q + 1)
@@ -163,8 +156,6 @@ def test_dist_table_matches_direct_formula(data):
 def test_profile_matches_standalone_tables():
     prof = build_profile(EXAMPLE, 3)
     assert prof.kmp == kmp_shift_table(EXAMPLE)
-    assert prof.hq == hq_shift_table(EXAMPLE, 3)
-    assert prof.dist == dist_table(EXAMPLE, 3)
     assert len(prof.pattern) == 9 and prof.q == 3
 
 
@@ -204,10 +195,6 @@ def test_profile_allocates_one_hash_table(m):
 def test_profile_rejects_bad_q(pat, q):
     with pytest.raises(ConfigurationError):
         build_profile(pat, q)
-    with pytest.raises(ConfigurationError):
-        hq_shift_table(pat, q)
-    with pytest.raises(ConfigurationError):
-        dist_table(pat, q)
 
 
 def test_q_equal_to_m_allowed():
