@@ -150,35 +150,29 @@ def _add_stats(acc: SearchStats, extra: SearchStats) -> SearchStats:
 
 def _measure_cell(spec: BenchSpec, label: str, text: bytes, m: int,
                   patterns: list[bytes]) -> list[ReportRow]:
-    n = len(text)
-    plan: list[tuple[str, int]] = []
+    # (algo, q) -> [seconds, stats, occurrences], in report order
+    acc: dict[tuple[str, int], list] = {}
     for algo in spec.algorithms:
         _, takes_q = MATCHERS[algo]
-        if takes_q:
-            plan.extend((algo, q)
-                        for q in sorted({clamp_q(q, m) for q in spec.qs}))
-        else:
-            plan.append((algo, 0))
-    times = {key: 0.0 for key in plan}
-    stats = {key: SearchStats() for key in plan}
-    occ_totals = {key: 0 for key in plan}
+        for q in sorted({clamp_q(q, m) for q in spec.qs}) if takes_q else [0]:
+            acc[(algo, q)] = [0.0, SearchStats(), 0]
     for p_idx, pattern in enumerate(patterns):
         cell = f"{label}, m={m}, pattern#{p_idx}"
         counts = {}
-        for algo, q in plan:
+        for (algo, q), cur in acc.items():
             best, ref = _measure(algo, q, text, pattern,
                                  spec.repetitions, spec.trials, cell)
             counts[(algo, q)] = len(ref.occurrences)
-            times[(algo, q)] += best
-            stats[(algo, q)] = _add_stats(stats[(algo, q)], ref.stats)
-            occ_totals[(algo, q)] += len(ref.occurrences)
+            cur[0] += best
+            cur[1] = _add_stats(cur[1], ref.stats)
+            cur[2] += len(ref.occurrences)
         if len(set(counts.values())) > 1:
             raise BenchmarkError(
                 f"occurrence counts disagree in cell {cell}: {counts}")
-    return [ReportRow(algo=algo, q=q, m=m, n=n, occ=occ_totals[(algo, q)],
-                      reps=spec.repetitions, total_ms=times[(algo, q)] * 1e3,
-                      stats=stats[(algo, q)], seed=spec.seed)
-            for algo, q in plan]
+    return [ReportRow(algo=algo, q=q, m=m, n=len(text), occ=occ,
+                      reps=spec.repetitions, total_ms=secs * 1e3,
+                      stats=stats, seed=spec.seed)
+            for (algo, q), (secs, stats, occ) in acc.items()]
 
 
 def run_benchmark(spec: BenchSpec) -> list[ReportRow]:

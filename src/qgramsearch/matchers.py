@@ -35,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .hashing import MOD8, MOD16, _MASK8, _MASK16, check_q, qgram_hashes
-from .preprocess import PatternProfile, build_profile, dist_from_hashes, \
-    kmp_shift_table, shift_table
+from .hashing import MOD16, _MASK8, _MASK16
+from .preprocess import PatternProfile, build_profile, hash_tables, \
+    kmp_shift_table
 
 SHIFT_HQ = "hq"
 SHIFT_DIST = "dist"
@@ -156,14 +156,11 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
     t = bytes(text)
     p = bytes(pattern)
     n, m = len(t), len(p)
-    check_q(q, m)
-    log = SearchTrace() if trace else None
-
-    hs = qgram_hashes(p, q, 2, _MASK8)
-    table = shift_table(m, q, hs, MOD8)
+    table, dist = hash_tables(p, q, 2, _MASK8)
     # constant advance after a comparison: back to the suffix hash's last
     # earlier occurrence in the pattern
-    adv = dist_from_hashes(m, q, hs)[m]
+    adv = dist[m]
+    log = SearchTrace() if trace else None
 
     occ: list[int] = []
     cmps = reads = hq_n = dist_n = 0

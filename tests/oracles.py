@@ -38,13 +38,15 @@ def strong_border_oracle(pattern: bytes, j: int) -> int:
     return best
 
 
-def hq_shift_oracle(pattern: bytes, q: int, hash_value: int) -> int:
+def hq_shift_oracle(pattern: bytes, q: int, hash_value: int,
+                    hash_oracle=hash16_oracle) -> int:
     """m - (rightmost j in [q, m] whose q-gram hashes to hash_value),
-    with q-1 standing in when there is no such j."""
+    with q-1 standing in when there is no such j.  ``hash_oracle`` picks
+    the fingerprint (16-bit by default)."""
     m = len(pattern)
     best = q - 1
     for j in range(q, m + 1):
-        if hash16_oracle(pattern[j - q:j], q) == hash_value:
+        if hash_oracle(pattern[j - q:j], q) == hash_value:
             best = j
     return m - best
 

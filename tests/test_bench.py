@@ -93,6 +93,7 @@ def test_unstable_counters_across_trials_detected(monkeypatch):
     dict(source=EmbedSource(n=2000, sigma=4, occs=(3, 3)),
          patterns_per_length=1),
     dict(source=EmbedSource(n=2000, sigma=4, occs=(3,))),
+    dict(source="fib"),  # not a source type: unknown corpus source
 ])
 def test_spec_validation(overrides):
     with pytest.raises(ConfigurationError):

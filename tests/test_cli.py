@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import qgramsearch
-from qgramsearch import ALGORITHMS, naive_search
+from qgramsearch import ALGORITHMS, ConfigurationError, naive_search
 from qgramsearch.cli import build_parser, main, run_search_command
 
 TEXT = "abbaabbaababbabbaaabaabaabbaaa"
@@ -118,6 +118,11 @@ def test_run_search_command_streams():
     code = run_search_command(TEXT.encode(), PATTERN.encode(), "distq", 3,
                               out=out, err=err)
     assert (code, out.getvalue(), err.getvalue()) == (0, "22\n", "")
+
+
+def test_run_search_command_rejects_unknown_algorithm():
+    with pytest.raises(ConfigurationError, match="unknown algorithm 'bogus'"):
+        run_search_command(b"abc", b"a", "bogus", 3)
 
 
 def test_gen_fib(capsys, tmp_path):
@@ -279,6 +284,7 @@ def test_bench_duplicate_algo_exits_2(capsys):
     (("--embed-n", "2000", "--embed-sigma", "4", "--embed-occ", "3",
       "--patterns-per-length", "5"), "--patterns-per-length"),
     (("--fib", "12", "--patterns-per-length", "0"), "patterns_per_length"),
+    (("--fib", "10", "--m", ","), "m list is empty"),
 ])
 def test_bench_repeated_or_unused_value_exits_2(capsys, argv, named):
     code, out, err = run(capsys, "bench", *argv, "--algos", "kmp",

@@ -77,6 +77,8 @@ def test_large_sigma_uses_printable_range():
 
 
 def test_spec_validation():
+    with pytest.raises(ConfigurationError, match="n must be >= 1, got 0"):
+        CorpusSpec(n=0, sigma=4, m=1, occ=0, seed=0)
     with pytest.raises(ConfigurationError):
         CorpusSpec(n=10, sigma=4, m=4, occ=3, seed=0)  # occ*m > n
     with pytest.raises(ConfigurationError):

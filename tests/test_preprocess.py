@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from qgramsearch import MOD16, ConfigurationError, build_profile, \
     kmp_shift_table, qgram_hash16, strong_border_table
-from oracles import dist_oracle, hash16_oracle, hq_shift_oracle, \
-    strong_border_oracle
+from qgramsearch.preprocess import hash_tables
+from oracles import dist_oracle, hash16_oracle, hash8_oracle, \
+    hq_shift_oracle, strong_border_oracle
 
 EXAMPLE = b"abaabbaaa"
 
@@ -174,6 +175,13 @@ def test_profile_tables_match_oracles(data):
         assert prof.hq[c] == hq_shift_oracle(pat, q, c), (pat, q, c)
     for j in range(1, m + 1):
         assert prof.dist[j] == dist_oracle(pat, q, j), (pat, q, j)
+    # the 8-bit tables of the hash-shift baseline, every entry
+    hq8, dist8 = hash_tables(pat, q, 2, 255)
+    assert len(hq8) == 256
+    for c in range(256):
+        assert hq8[c] == hq_shift_oracle(pat, q, c, hash8_oracle), (pat, q, c)
+    for j in range(1, m + 1):
+        assert dist8[j] == dist_oracle(pat, q, j, hash8_oracle), (pat, q, j)
 
 
 @pytest.mark.parametrize("m", [1, 16, 200])
