@@ -4,6 +4,8 @@ The package bundles two distance-shift matchers (``distq_search`` and its
 rolling-hash variant ``ldistq_search``), three baselines (naive, strong
 border, 8-bit hash shift), the preprocessing that feeds them, corpus
 generators and a small benchmark harness.  See the README for the CLI.
+``ENGINE`` names the engine that untraced kmp, hashq, distq and ldistq
+searches run on: ``"c"`` (compiled on first import) or ``"python"``.
 """
 
 from .bench import BenchSpec, EmbedSource, FibonacciSource, FileSource, \
@@ -14,6 +16,7 @@ from .errors import BenchmarkError, ConfigurationError, Error, GenerationError
 from .hashing import MAX_Q, MOD8, MOD16, qgram_hash8, qgram_hash16
 from .matchers import ALGORITHMS, SearchOutcome, SearchStats, SearchTrace, \
     distq_search, hashq_search, kmp_search, ldistq_search, naive_search
+from .native import ENGINE, ENGINE_REASON
 from .preprocess import PatternProfile, build_profile, kmp_shift_table, \
     strong_border_table
 
@@ -21,12 +24,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS", "BenchSpec", "BenchmarkError", "ConfigurationError",
-    "CorpusSpec", "EmbedSource", "Error", "FibonacciSource", "FileSource",
-    "GeneratedCorpus", "GenerationError", "MAX_Q", "MOD16", "MOD8",
-    "PatternProfile", "ReportRow", "SearchOutcome", "SearchStats",
-    "SearchTrace", "alphabet_bytes", "build_profile", "distq_search",
-    "emit_report", "fibonacci_string", "hashq_search", "kmp_search",
-    "kmp_shift_table", "ldistq_search", "load_text", "naive_search",
-    "qgram_hash16", "qgram_hash8", "random_text_with_occurrences",
-    "run_benchmark", "sample_patterns", "strong_border_table",
+    "CorpusSpec", "ENGINE", "ENGINE_REASON", "EmbedSource", "Error",
+    "FibonacciSource", "FileSource", "GeneratedCorpus", "GenerationError",
+    "MAX_Q", "MOD16", "MOD8", "PatternProfile", "ReportRow", "SearchOutcome",
+    "SearchStats", "SearchTrace", "alphabet_bytes", "build_profile",
+    "distq_search", "emit_report", "fibonacci_string", "hashq_search",
+    "kmp_search", "kmp_shift_table", "ldistq_search", "load_text",
+    "naive_search", "qgram_hash16", "qgram_hash8",
+    "random_text_with_occurrences", "run_benchmark", "sample_patterns",
+    "strong_border_table",
 ]

@@ -27,6 +27,8 @@ from .errors import ConfigurationError, Error
 from .hashing import MAX_Q, clamp_q
 from .matchers import ALGORITHMS, MATCHERS
 
+_BLOCK = 4096  # positions per write in run_search_command
+
 
 def run_search_command(text: bytes, pattern: bytes, algorithm: str, q: int,
                        zero_based: bool = False, out=None, err=None) -> int:
@@ -51,8 +53,10 @@ def run_search_command(text: bytes, pattern: bytes, algorithm: str, q: int,
     occurrences = run(text, pattern, q_eff).occurrences
     base = 1 if not zero_based else 0
     try:
-        for pos in occurrences:
-            print(pos - 1 + base, file=out)
+        # blocks of at most _BLOCK lines: one write each, bounded memory
+        for start in range(0, len(occurrences), _BLOCK):
+            out.write("".join(f"{pos - 1 + base}\n"
+                              for pos in occurrences[start:start + _BLOCK]))
         out.flush()
     except BrokenPipeError:
         # e.g. ``| head -1``; point the descriptor at devnull so the flush

@@ -22,6 +22,12 @@ each at the point where the counted event happens.  A :class:`SearchTrace`
 is built only when the matcher is called with ``trace=True``; otherwise
 ``outcome.trace`` is ``None`` and the search holds no per-event memory.
 
+Untraced kmp, hashq, distq and ldistq searches run the compiled loops of
+``_engine.c`` (see :mod:`qgramsearch.native`), which return the same
+occurrences and counters.  The Python loops below run every traced search
+and every search when no compiled engine could be loaded, and are the
+reference the compiled loops are tested against.
+
 A shift event is recorded (counted, and traced when asked) only when the
 pattern lands on an alignment that still fits inside the text (the trailing
 shift that walks the window off the end is performed but not recorded, so
@@ -36,6 +42,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 from .hashing import MOD16, _MASK8, _MASK16
+from .native import engine
 from .preprocess import PatternProfile, build_profile, hash_tables, \
     kmp_shift_table
 
@@ -84,6 +91,13 @@ class SearchOutcome:
     trace: SearchTrace | None  # None unless the search ran with trace=True
 
 
+def _compiled(loop, *args) -> SearchOutcome:
+    """Outcome of a compiled loop, which returns the occurrences followed by
+    the counters in :class:`SearchStats` field order."""
+    occ, *counts = loop(*args)
+    return SearchOutcome(occ, SearchStats(*counts), None)
+
+
 def naive_search(text: bytes, pattern: bytes) -> list[int]:
     """All 1-based occurrence positions by direct window comparison.
 
@@ -109,9 +123,12 @@ def kmp_search(text: bytes, pattern: bytes,
     log = SearchTrace() if trace else None
     if n < m:
         return SearchOutcome([], SearchStats(), log)
+    ks = kmp_shift_table(p)
+    if engine is not None and not trace:
+        return _compiled(engine.kmp, p, t, ks)
     # read about once per text byte: CPython specialises list subscripts,
     # not array ones, and this private copy costs O(m) per call
-    ks = kmp_shift_table(p).tolist()
+    ks = ks.tolist()
     last_start = n - m + 1  # rightmost alignment that fits
     occ: list[int] = []
     cmps = kmp_n = 0
@@ -157,6 +174,8 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
     p = bytes(pattern)
     n, m = len(t), len(p)
     table, dist = hash_tables(p, q, 2, _MASK8)
+    if engine is not None and not trace:
+        return _compiled(engine.hashq, p, t, q, table, dist)
     # constant advance after a comparison: back to the suffix hash's last
     # earlier occurrence in the pattern
     adv = dist[m]
@@ -217,6 +236,9 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
     p = profile.pattern
     n, m = len(t), len(p)
     q = profile.q
+    if engine is not None and not trace:
+        return _compiled(engine.distq, p, t, q, profile.hq, profile.dist,
+                         profile.kmp, rolling)
     log = SearchTrace() if trace else None
     hq_tab = profile.hq
     dist_tab = profile.dist

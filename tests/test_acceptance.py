@@ -50,7 +50,8 @@ def fuzz():
     """Run all matchers over the shared seeded fuzz corpus once."""
     started = time.perf_counter()
     rng = random.Random(FUZZ_SEED)
-    eq_failures = []      # occurrences differ from naive (or matcher raised)
+    eq_failures = []      # occurrences differ from naive, untraced runs
+                          # differ from traced ones, or a matcher raised
     cmp_violations = []   # char_comparisons > 2n
     read_violations = []  # hashed_char_reads above the O(n + m) bounds
     trace_failures = []   # distq and ldistq traces differ
@@ -86,6 +87,16 @@ def fuzz():
         for name, outcome in outcomes.items():
             if outcome.occurrences != ref:
                 eq_failures.append(f"{tag}: {name} != naive")
+        # untraced runs take the compiled engine when it is loaded; they
+        # must find and count exactly what the traced Python engine does
+        untraced = {"kmp": kmp_search(text, pattern),
+                    "hashq": hashq_search(text, pattern, q),
+                    "distq": distq_search(text, profile),
+                    "ldistq": ldistq_search(text, profile)}
+        for name, outcome in untraced.items():
+            if (outcome.occurrences, outcome.stats) != \
+                    (outcomes[name].occurrences, outcomes[name].stats):
+                eq_failures.append(f"{tag}: untraced {name} != traced")
         for name in ("kmp", "distq", "ldistq"):
             cmps = outcomes[name].stats.char_comparisons
             if cmps > 2 * n:

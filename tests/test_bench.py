@@ -84,24 +84,35 @@ def test_unstable_counters_across_trials_detected(monkeypatch):
         run_benchmark(small_spec(algorithms=("distq",)))
 
 
-@pytest.mark.parametrize("overrides", [
-    dict(repetitions=0), dict(trials=0), dict(algorithms=("quantum",)),
-    dict(algorithms=()), dict(qs=(0,)), dict(pattern_lengths=()),
-    dict(patterns_per_length=0), dict(algorithms=("kmp", "kmp")),
+SPEC_ERRORS = [
+    (dict(repetitions=0), "repetitions must be >= 1"),
+    (dict(trials=0), "trials must be >= 1"),
+    (dict(algorithms=("quantum",)), "unknown algorithm 'quantum'"),
+    (dict(algorithms=()), "algorithm list is empty"),
+    (dict(qs=(0,)), "q values must be >= 1"),
+    (dict(pattern_lengths=()), "pattern lengths must be >= 1"),
+    (dict(patterns_per_length=0), "patterns_per_length must be >= 1"),
+    (dict(algorithms=("kmp", "kmp")), "algorithm 'kmp' is listed twice"),
     # rows that no column tells apart, and an embed corpus's one pattern
-    dict(pattern_lengths=(8, 8)),
-    dict(source=EmbedSource(n=2000, sigma=4, occs=(3, 3)),
-         patterns_per_length=1),
-    dict(source=EmbedSource(n=2000, sigma=4, occs=(3,))),
-    dict(source="fib"),  # not a source type: unknown corpus source
-])
-def test_spec_validation(overrides):
-    with pytest.raises(ConfigurationError):
+    (dict(pattern_lengths=(8, 8)), "pattern length 8 is listed twice"),
+    (dict(source=EmbedSource(n=2000, sigma=4, occs=(3, 3)),
+          patterns_per_length=1), "occ value 3 is listed twice"),
+    (dict(source=EmbedSource(n=2000, sigma=4, occs=(3,))),
+     "exactly one pattern per corpus"),
+    (dict(source="fib"), "unknown corpus source"),  # not a source type
+]
+
+
+# each case raises its own message, so no other check can pass for it
+@pytest.mark.parametrize("overrides, message", SPEC_ERRORS, ids=[
+    f"overrides{i}" for i in range(len(SPEC_ERRORS))])
+def test_spec_validation(overrides, message):
+    with pytest.raises(ConfigurationError, match=message):
         run_benchmark(small_spec(**overrides))
 
 
 def test_embed_source_needs_occ_values():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="at least one occ value"):
         run_benchmark(small_spec(source=EmbedSource(n=100, sigma=4, occs=())))
 
 

@@ -254,6 +254,22 @@ def test_search_reader_closing_early_ends_output(tmp_path):
     proc.stderr.close()
 
 
+@pytest.mark.parametrize("zero_based", [False, True])
+def test_search_output_spans_several_blocks(capsys, tmp_path, zero_based):
+    # positions are written in blocks; the bytes must read as one per line
+    text = qgramsearch.fibonacci_string(24)
+    tf = tmp_path / "fib.bin"
+    tf.write_bytes(text)
+    found = naive_search(text, b"aba")
+    assert len(found) > 2 * 4096
+    base = 0 if zero_based else 1
+    flags = ["--zero-based"] if zero_based else []
+    code, out, err = run(capsys, "search", "--text-file", str(tf),
+                         "--pattern", "aba", *flags)
+    assert (code, err) == (0, "")
+    assert out == "\n".join(str(pos - 1 + base) for pos in found) + "\n"
+
+
 def test_bench_source_required(capsys):
     code, _, err = run(capsys, "bench", "--algos", "kmp")
     assert code == 2
