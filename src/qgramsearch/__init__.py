@@ -5,7 +5,8 @@ rolling-hash variant ``ldistq_search``), three baselines (naive, strong
 border, 8-bit hash shift), the preprocessing that feeds them, corpus
 generators and a small benchmark harness.  See the README for the CLI.
 ``ENGINE`` names the engine that untraced kmp, hashq, distq and ldistq
-searches run on: ``"c"`` (compiled on first import) or ``"python"``.
+searches and the table builders run on: ``"c"`` (compiled on first import)
+or ``"python"``.
 """
 
 from .bench import BenchSpec, EmbedSource, FibonacciSource, FileSource, \

@@ -1,11 +1,13 @@
-/* Compiled counting loops of kmp_search, hashq_search and _distq_core.
- * Each ports the untraced branch of its Python matcher in matchers.py line
- * for line and returns (occurrences, counters in SearchStats field order).
- * Pattern and text are read through the buffer protocol.  Every table must
- * be a C-contiguous array('I') of the length its matcher builds, and an
- * entry no valid table holds raises ValueError, so no input makes a loop
- * read out of bounds or stop advancing.  Unsigned 32-bit hashes masked to
- * 16 or 8 bits equal the Python polynomials mod 2^16 or 2^8. */
+/* Compiled counting loops of kmp_search, hashq_search and _distq_core, and
+ * the table builder of kmp_shift_table and hash_tables in preprocess.py.
+ * Each ports the untraced branch of its Python function line for line; a
+ * loop returns (occurrences, counters in SearchStats field order), and the
+ * builder fills the tables it is given in place.  Pattern and text are read
+ * through the buffer protocol.  Every table must be a C-contiguous
+ * array('I') of the length its caller builds, and an entry no valid table
+ * holds raises ValueError, so no input makes a loop read or write out of
+ * bounds or stop advancing.  Unsigned 32-bit hashes masked to 16 or 8 bits
+ * equal the Python polynomials mod 2^16 or 2^8. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -234,15 +236,92 @@ static PyObject *distq(PyObject *self, PyObject *args) {
                   kmp_n, windows);
 }
 
+/* Table `i` of `a` as table() reads it, and writable; NULL on error. */
+static uint32_t *out_table(Args *a, int i, PyObject *obj, Py_ssize_t len) {
+    const uint32_t *t = table(a, i, obj, len);
+    if (t == NULL || !a->tab[i].readonly)
+        return (uint32_t *)t;
+    PyErr_Format(PyExc_ValueError, "table %d must be writable", i);
+    return NULL;
+}
+
+/* tables(pattern, kmp[, q, base, mask, hq, dist]) fills kmp (unless None)
+ * like kmp_shift_table and, given the rest, hq and dist like hash_tables.
+ * It follows the loops and uses their helpers as they are, so the loops
+ * keep their machine code and addresses: when a reworked helper moved
+ * kmp's loop, kmp ran 8 % slower on Fibonacci text. */
+static PyObject *tables(PyObject *self, PyObject *args) {
+    Args a = {0};
+    PyObject *ko, *ho = NULL, *dob = NULL;
+    uint32_t *ks, *hq, *dist;
+    int q = 0, base = 0, mask = 0;
+    if (!PyArg_ParseTuple(args, "y*O|iiiOO", &a.p, &ko, &q, &base, &mask,
+                          &ho, &dob))
+        return NULL;
+    const unsigned char *P = a.p.buf;
+    Py_ssize_t m = a.p.len, n_args = Py_SIZE(args), i, j, s, v;
+    int ok = (m > 0 || fail("pattern must be non-empty"))
+        && (m < UINT32_MAX || fail("m + 1 must fit in 32 bits"))
+        && (n_args == 2 || n_args == 7
+            || fail("give q, base, mask, hq and dist together"));
+    if (ok && ko != Py_None)
+        ok = (ks = out_table(&a, 2, ko, m + 2)) != NULL;
+    if (ok && ko != Py_None) {
+        /* strong_border_table's scan, with each strong border sb[x] read
+         * back from its shift as x - 1 - ks[x] */
+        ks[0] = 0, ks[1] = 1;
+        for (i = 0, j = -1; i < m; ) {
+            while (j > -1 && P[i] != P[j])
+                j -= ks[j + 1];
+            i++, j++;
+            ks[i + 1] = i - (i < m && P[i] == P[j] ? j - ks[j + 1] : j);
+        }
+    }
+    if (ok && n_args == 7) {
+        Py_ssize_t size = base == 4 && mask == 0xFFFF ? 65536
+            : base == 2 && mask == 0xFF ? 256 : 0;
+        ok = q_ok(q, m)
+            && (size || fail("base and mask must be 4 and 0xFFFF or 2 and "
+                             "0xFF"))
+            && (hq = out_table(&a, 0, ho, size)) != NULL
+            && (dist = out_table(&a, 1, dob, m + 1)) != NULL;
+        for (j = 0; ok && j <= m; j++) {
+            if (j < q) {  /* inert entries: never above a real gap */
+                dist[j] = j > 0;
+                continue;
+            }
+            uint32_t h = 0;
+            for (s = j - q; s < j; s++)
+                h = h * base + P[s];
+            h &= mask;
+            /* the prefill m - q + 1 is no real shift (those are m - p for
+             * a q-gram ending at p >= q): it marks a hash not seen yet, and
+             * m minus it is the virtual position q - 1 */
+            v = hq[h];
+            if (v < m - j + 1 || v > m - q + 1)
+                ok = fail("hq must be prefilled with m - q + 1");
+            else
+                dist[j] = j - (m - v), hq[h] = m - j;
+        }
+    }
+    result(&a, 0, NULL, 0, 0, 0, 0, 0, 0, 0);  /* releases the buffers */
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef methods[] = {
     {"kmp", kmp, METH_VARARGS, "kmp(pattern, text, kmp)"},
     {"hashq", hashq, METH_VARARGS, "hashq(pattern, text, q, hq, dist)"},
     {"distq", distq, METH_VARARGS, "distq(p, t, q, hq, dist, kmp, rolling)"},
+    {"tables", tables, METH_VARARGS,
+     "tables(pattern, kmp[, q, base, mask, hq, dist])"},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_engine", "Compiled counting loops.", -1, methods
+    PyModuleDef_HEAD_INIT, "_engine", "Compiled loops and table builder.", -1,
+    methods
 };
 
 PyMODINIT_FUNC PyInit__engine(void) {

@@ -1,6 +1,7 @@
-"""The compiled counting engine, built from ``_engine.c`` on first import
-and cached as ``__pycache__/_engine.<crc32 of the source><ABI suffix>``.
-``ENGINE`` is ``"c"``, or ``"python"`` with ``ENGINE_REASON`` saying why."""
+"""The compiled engine (counting loops and table builder), built from
+``_engine.c`` on first import and cached as
+``__pycache__/_engine.<crc32 of the source><ABI suffix>``.  ``ENGINE`` is
+``"c"``, or ``"python"`` with ``ENGINE_REASON`` saying why."""
 
 import importlib.util
 import os

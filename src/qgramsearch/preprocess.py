@@ -14,6 +14,14 @@ one builder of ``hq`` and ``dist`` (16-bit here, 8-bit for ``hashq_search``):
   lines up with the rightmost pattern q-gram hashing to c;
 * ``dist``: entry j is the smallest k >= 1 such that the q-gram ending at
   j-k hashes like the one ending at j (capped at j-q+1 when none does).
+
+:func:`hash_tables` gets both from one ascending scan over an ``hq``
+prefilled with m - q + 1, a value no real shift takes: an entry still
+holding it marks a hash not seen yet, so the scan needs no map of last
+positions and touches O(m) entries.  :func:`hash_tables` and
+:func:`kmp_shift_table` fill their tables in the compiled engine (see
+:mod:`qgramsearch.native`) when it is loaded; their Python bodies run the
+same scans and are the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 from .hashing import _MASK16, check_q, qgram_hashes
+from .native import engine
 
 
 def strong_border_table(pattern: bytes) -> list[int]:
@@ -66,8 +75,12 @@ def kmp_shift_table(pattern: bytes) -> array:
     >>> list(kmp_shift_table(b"aa")[1:])
     [1, 2, 1]
     """
-    sb = strong_border_table(pattern)
-    return array("I", [0] + [j - sb[j] - 1 for j in range(1, len(sb))])
+    if engine is None or not pattern:  # b"" raises ConfigurationError here
+        sb = strong_border_table(pattern)
+        return array("I", [0] + [j - sb[j] - 1 for j in range(1, len(sb))])
+    ks = array("I", [0]) * (len(pattern) + 2)
+    engine.tables(pattern, ks)
+    return ks
 
 
 def hash_tables(pattern: bytes, q: int, base: int = 4,
@@ -78,23 +91,24 @@ def hash_tables(pattern: bytes, q: int, base: int = 4,
     ``base``/``mask`` pick the fingerprint as in
     :func:`~qgramsearch.hashing.qgram_hashes`; ``hq`` has ``mask + 1``
     entries.  Dist entry j in [q, m] is j - p for the largest p in [q, j)
-    with the same hash as j, or j - q + 1 when there is none.  Both read
-    the scan's last position of each hash: O(m) work and memory.
+    with the same hash as j, or j - q + 1 when there is none.  One
+    ascending scan gives both: O(m) work beyond allocating ``hq``.
     """
     m = len(pattern)
     check_q(q, m)
-    hs = qgram_hashes(pattern, q, base, mask)
     # before the scan's temporaries: after them, CLI peak RSS rose ~0.12 MB
     hq = array("I", [m - q + 1]) * (mask + 1)
     # entries below q are inert: never above a real gap
     dist = array("I", [0] + [1] * m)
-    last: dict[int, int] = {}
+    if engine is not None:
+        engine.tables(pattern, None, q, base, mask, hq, dist)
+        return hq, dist
+    hs = qgram_hashes(pattern, q, base, mask)
     for j in range(q, m + 1):
         h = hs[j]
-        dist[j] = j - last.get(h, q - 1)
-        last[h] = j
-    # shift so that the rightmost q-gram with hash h ends the window
-    for h, j in last.items():
+        # hq[h] is m - p for the last p < j with this hash, or the prefill
+        # m - q + 1 (no real shift) when there is none, read as p = q - 1
+        dist[j] = j - (m - hq[h])
         hq[h] = m - j
     return hq, dist
 

@@ -3,6 +3,7 @@
 Its outcomes are checked against the Python engine here, in the acceptance
 fuzz (untraced against traced runs) and in
 ``test_matchers.test_all_matchers_agree_with_naive`` on full-byte cases.
+Its tables are checked against the Python builders here.
 """
 
 import os
@@ -19,8 +20,10 @@ from importlib.machinery import EXTENSION_SUFFIXES
 import pytest
 
 import qgramsearch
-from qgramsearch import build_profile, fibonacci_string, matchers, native
+from qgramsearch import build_profile, fibonacci_string, kmp_shift_table, \
+    matchers, native, preprocess
 from qgramsearch.matchers import MATCHERS
+from qgramsearch.preprocess import hash_tables
 
 SOURCE = pathlib.Path(native.__file__).with_name("_engine.c")
 PATTERN = b"abaabbaaa"
@@ -101,12 +104,36 @@ def test_matchers_agree_without_the_engine(monkeypatch):
                       rng.randint(1, min(8, m))))
     compiled = [_outcomes(*case) for case in cases]
     monkeypatch.setattr(matchers, "engine", None)
+    monkeypatch.setattr(preprocess, "engine", None)
     assert [_outcomes(*case) for case in cases] == compiled
+
+
+def _tables(pattern, q):
+    prof = build_profile(pattern, q)
+    return [prof.hq, prof.dist, prof.kmp, *hash_tables(pattern, q, 2, 255),
+            kmp_shift_table(pattern)]
+
+
+def test_builders_agree_without_the_engine(monkeypatch):
+    # full-byte patterns, and two-byte ones for repeated q-grams and borders
+    rng = random.Random(11)
+    patterns = [bytes(rng.choices(al, k=m)) for m in [*range(1, 91), 70_000]
+                for al in (range(256), rng.sample(range(256), 2))]
+    cases = [(p, q) for p in patterns for q in range(1, min(len(p), 8) + 1)]
+    compiled = [_tables(*case) for case in cases]
+    monkeypatch.setattr(preprocess, "engine", None)
+    assert [_tables(*case) for case in cases] == compiled
 
 
 def _distq_args(pattern=PATTERN, q=3):
     prof = build_profile(pattern, q)
     return [pattern, TEXT, q, prof.hq, prof.dist, prof.kmp, False]
+
+
+def _tables_args(pattern=PATTERN, q=3):
+    m = len(pattern)
+    return [pattern, array("I", [0]) * (m + 2), q, 4, 0xFFFF,
+            array("I", [m - q + 1]) * 65536, array("I", [0]) * (m + 1)]
 
 
 def _bad(args, slot, value):
@@ -149,6 +176,31 @@ def _table(length, i):
                  "impossible shift", id="kmp-shift-above-j"),
     pytest.param("kmp", [b"", TEXT, array("I", [1]) * 2], "non-empty",
                  id="empty-pattern"),
+    pytest.param("tables", _bad(_tables_args(), 5, array("I", [7]) * 100),
+                 _table(65536, 0), id="tables-short-hq"),
+    pytest.param("tables", _bad(_tables_args(), 5, array("i", [7]) * 65536),
+                 _table(65536, 0), id="tables-signed-hq"),
+    pytest.param("tables", _bad(_tables_args(), 5, bytes(4 * 65536)),
+                 _table(65536, 0), id="tables-bytes-hq"),
+    pytest.param("tables", _bad(_tables_args(), 5, memoryview(
+                     array("I", [7]) * 65536).toreadonly()),
+                 "table 0 must be writable", id="tables-read-only-hq"),
+    pytest.param("tables", _bad(_tables_args(), 6, array("I", [0]) * 9),
+                 _table(10, 1), id="tables-short-dist"),
+    pytest.param("tables", _bad(_tables_args(), 1, array("I", [0]) * 10),
+                 _table(11, 2), id="tables-short-kmp"),
+    pytest.param("tables", _bad(_tables_args(), 2, 9), "q must be in",
+                 id="tables-q-above-8"),
+    pytest.param("tables", _bad(_tables_args(b"ab", 2), 2, 3),
+                 "q must be in", id="tables-q-above-m"),
+    pytest.param("tables", _bad(_tables_args(), 5, array("I", [0]) * 65536),
+                 "prefilled with m - q", id="tables-hq-not-prefilled"),
+    pytest.param("tables", _bad(_tables_args(), 4, 0xFF),
+                 "base and mask must be", id="tables-unsupported-mask"),
+    pytest.param("tables", _tables_args()[:5], "together",
+                 id="tables-missing-hq-and-dist"),
+    pytest.param("tables", [b"", array("I", [0]) * 2], "non-empty",
+                 id="tables-empty-pattern"),
 ])
 def test_bad_input_raises_instead_of_reading_out_of_bounds(name, args,
                                                            message):

@@ -1,8 +1,10 @@
 """Guards on the package surface: stdlib-only imports, resolvable exports,
-and no dead names (unused imports, unreferenced private definitions)."""
+and no dead names (unused imports, unreferenced private definitions, or
+compiled entry points that no module calls)."""
 
 import ast
 import pathlib
+import re
 import sys
 
 import qgramsearch
@@ -83,3 +85,16 @@ def test_every_unexported_definition_is_referenced():
                      and name not in loaded
                      and (module, name) not in imported]
     assert dead == []
+
+
+def test_every_compiled_entry_point_is_called():
+    source = (PACKAGE_DIR / "_engine.c").read_text()
+    table = source[source.index("static PyMethodDef methods[]"):]
+    defined = set(re.findall(r'^\s*\{"(\w+)",', table[:table.index("};")],
+                             re.MULTILINE))
+    called = {node.attr for tree in _module_trees().values()
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "engine"}
+    assert defined and called == defined
