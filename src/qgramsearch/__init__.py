@@ -18,8 +18,7 @@ from .hashing import MAX_Q, MOD8, MOD16, qgram_hash8, qgram_hash16
 from .matchers import ALGORITHMS, SearchOutcome, SearchStats, SearchTrace, \
     distq_search, hashq_search, kmp_search, ldistq_search, naive_search
 from .native import ENGINE, ENGINE_REASON
-from .preprocess import PatternProfile, build_profile, kmp_shift_table, \
-    strong_border_table
+from .preprocess import PatternProfile, build_profile, kmp_shift_table
 
 __version__ = "0.1.0"
 
@@ -33,5 +32,4 @@ __all__ = [
     "kmp_search", "kmp_shift_table", "ldistq_search", "load_text",
     "naive_search", "qgram_hash16", "qgram_hash8",
     "random_text_with_occurrences", "run_benchmark", "sample_patterns",
-    "strong_border_table",
 ]

@@ -1,7 +1,7 @@
 /* Compiled counting loops of kmp_search, hashq_search and _distq_core, and
- * the table builder of kmp_shift_table and hash_tables in preprocess.py.
+ * the table builders of kmp_shift_table and hash_tables in preprocess.py.
  * Each ports the untraced branch of its Python function line for line; a
- * loop returns (occurrences, counters in SearchStats field order), and the
+ * loop returns (occurrences, counters in SearchStats field order), and a
  * builder fills the tables it is given in place.  Pattern and text are read
  * through the buffer protocol.  Every table must be a C-contiguous
  * array('I') of the length its caller builds, and an entry no valid table
@@ -245,30 +245,23 @@ static uint32_t *out_table(Args *a, int i, PyObject *obj, Py_ssize_t len) {
     return NULL;
 }
 
-/* tables(pattern, kmp[, q, base, mask, hq, dist]) fills kmp (unless None)
- * like kmp_shift_table and, given the rest, hq and dist like hash_tables.
- * It follows the loops and uses their helpers as they are, so the loops
- * keep their machine code and addresses: when a reworked helper moved
- * kmp's loop, kmp ran 8 % slower on Fibonacci text. */
-static PyObject *tables(PyObject *self, PyObject *args) {
+/* kmp_table(pattern, kmp) fills kmp like kmp_shift_table, reading each
+ * strong border sb[x] back from its shift as x - 1 - ks[x].  The builders
+ * follow the loops and use their helpers as they are, so the loops keep
+ * their machine code and addresses: when a reworked helper moved kmp's
+ * loop, kmp ran 8 % slower on Fibonacci text. */
+static PyObject *kmp_table(PyObject *self, PyObject *args) {
     Args a = {0};
-    PyObject *ko, *ho = NULL, *dob = NULL;
-    uint32_t *ks, *hq, *dist;
-    int q = 0, base = 0, mask = 0;
-    if (!PyArg_ParseTuple(args, "y*O|iiiOO", &a.p, &ko, &q, &base, &mask,
-                          &ho, &dob))
+    PyObject *ko;
+    uint32_t *ks;
+    if (!PyArg_ParseTuple(args, "y*O", &a.p, &ko))
         return NULL;
     const unsigned char *P = a.p.buf;
-    Py_ssize_t m = a.p.len, n_args = Py_SIZE(args), i, j, s, v;
+    Py_ssize_t m = a.p.len, i, j;
     int ok = (m > 0 || fail("pattern must be non-empty"))
         && (m < UINT32_MAX || fail("m + 1 must fit in 32 bits"))
-        && (n_args == 2 || n_args == 7
-            || fail("give q, base, mask, hq and dist together"));
-    if (ok && ko != Py_None)
-        ok = (ks = out_table(&a, 2, ko, m + 2)) != NULL;
-    if (ok && ko != Py_None) {
-        /* strong_border_table's scan, with each strong border sb[x] read
-         * back from its shift as x - 1 - ks[x] */
+        && (ks = out_table(&a, 0, ko, m + 2)) != NULL;
+    if (ok) {
         ks[0] = 0, ks[1] = 1;
         for (i = 0, j = -1; i < m; ) {
             while (j > -1 && P[i] != P[j])
@@ -277,50 +270,60 @@ static PyObject *tables(PyObject *self, PyObject *args) {
             ks[i + 1] = i - (i < m && P[i] == P[j] ? j - ks[j + 1] : j);
         }
     }
-    if (ok && n_args == 7) {
-        Py_ssize_t size = base == 4 && mask == 0xFFFF ? 65536
-            : base == 2 && mask == 0xFF ? 256 : 0;
-        ok = q_ok(q, m)
-            && (size || fail("base and mask must be 4 and 0xFFFF or 2 and "
-                             "0xFF"))
-            && (hq = out_table(&a, 0, ho, size)) != NULL
-            && (dist = out_table(&a, 1, dob, m + 1)) != NULL;
-        for (j = 0; ok && j <= m; j++) {
-            if (j < q) {  /* inert entries: never above a real gap */
-                dist[j] = j > 0;
-                continue;
-            }
-            uint32_t h = 0;
-            for (s = j - q; s < j; s++)
-                h = h * base + P[s];
-            h &= mask;
-            /* the prefill m - q + 1 is no real shift (those are m - p for
-             * a q-gram ending at p >= q): it marks a hash not seen yet, and
-             * m minus it is the virtual position q - 1 */
-            v = hq[h];
-            if (v < m - j + 1 || v > m - q + 1)
-                ok = fail("hq must be prefilled with m - q + 1");
-            else
-                dist[j] = j - (m - v), hq[h] = m - j;
-        }
+    result(&a, 0, NULL, 0, 0, 0, 0, 0, 0, 0);  /* releases the buffers */
+    return ok ? Py_NewRef(Py_None) : NULL;
+}
+
+/* hash_tables(pattern, q, bits, hq, dist) fills hq and dist like
+ * hash_tables, hashing each pattern q-gram afresh with the 16-bit (base 4)
+ * or 8-bit (base 2) fingerprint. */
+static PyObject *hash_tables(PyObject *self, PyObject *args) {
+    Args a = {0};
+    PyObject *ho, *dob;
+    uint32_t *hq, *dist;
+    int q, bits;
+    if (!PyArg_ParseTuple(args, "y*iiOO", &a.p, &q, &bits, &ho, &dob))
+        return NULL;
+    const unsigned char *P = a.p.buf;
+    Py_ssize_t m = a.p.len, j, s, v;
+    int ok = q_ok(q, m)
+        && (m < UINT32_MAX || fail("m + 1 must fit in 32 bits"))
+        && (bits == 16 || bits == 8 || fail("bits must be 8 or 16"))
+        && (hq = out_table(&a, 0, ho, (Py_ssize_t)1 << bits)) != NULL
+        && (dist = out_table(&a, 1, dob, m + 1)) != NULL;
+    uint32_t base = bits == 16 ? 4 : 2, mask = bits == 16 ? 0xFFFF : 0xFF;
+    for (j = 0; ok && j < q; j++)
+        dist[j] = j > 0;  /* inert entries: never above a real gap */
+    for (j = q; ok && j <= m; j++) {
+        uint32_t h = 0;
+        for (s = j - q; s < j; s++)
+            h = h * base + P[s];
+        h &= mask;
+        /* the prefill m - q + 1 is no real shift (those are m - p for a
+         * q-gram ending at p >= q): it marks a hash not seen yet, and m
+         * minus it is the virtual position q - 1 */
+        v = hq[h];
+        if (v < m - j + 1 || v > m - q + 1)
+            ok = fail("hq must be prefilled with m - q + 1");
+        else
+            dist[j] = j - (m - v), hq[h] = m - j;
     }
     result(&a, 0, NULL, 0, 0, 0, 0, 0, 0, 0);  /* releases the buffers */
-    if (!ok)
-        return NULL;
-    Py_RETURN_NONE;
+    return ok ? Py_NewRef(Py_None) : NULL;
 }
 
 static PyMethodDef methods[] = {
     {"kmp", kmp, METH_VARARGS, "kmp(pattern, text, kmp)"},
     {"hashq", hashq, METH_VARARGS, "hashq(pattern, text, q, hq, dist)"},
     {"distq", distq, METH_VARARGS, "distq(p, t, q, hq, dist, kmp, rolling)"},
-    {"tables", tables, METH_VARARGS,
-     "tables(pattern, kmp[, q, base, mask, hq, dist])"},
+    {"kmp_table", kmp_table, METH_VARARGS, "kmp_table(pattern, kmp)"},
+    {"hash_tables", hash_tables, METH_VARARGS,
+     "hash_tables(pattern, q, bits, hq, dist)"},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_engine", "Compiled loops and table builder.", -1,
+    PyModuleDef_HEAD_INIT, "_engine", "Compiled loops and table builders.", -1,
     methods
 };
 

@@ -101,8 +101,8 @@ def _compiled(loop, *args) -> SearchOutcome:
 def naive_search(text: bytes, pattern: bytes) -> list[int]:
     """All 1-based occurrence positions by direct window comparison.
 
-    This is the oracle the other matchers are judged against; it stays a
-    one-liner on purpose.
+    This is the oracle the other matchers are judged against; it stays one
+    obvious comparison per window on purpose.
     """
     t = bytes(text)
     p = bytes(pattern)
@@ -117,13 +117,11 @@ def kmp_search(text: bytes, pattern: bytes,
     """Strong-border matcher; at most 2n character comparisons."""
     t = bytes(text)
     p = bytes(pattern)
-    if not p:
-        raise ConfigurationError("pattern must be non-empty")
+    ks = kmp_shift_table(p)  # raises ConfigurationError if p is empty
     n, m = len(t), len(p)
     log = SearchTrace() if trace else None
     if n < m:
         return SearchOutcome([], SearchStats(), log)
-    ks = kmp_shift_table(p)
     if engine is not None and not trace:
         return _compiled(engine.kmp, p, t, ks)
     # read about once per text byte: CPython specialises list subscripts,
@@ -173,7 +171,7 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
     t = bytes(text)
     p = bytes(pattern)
     n, m = len(t), len(p)
-    table, dist = hash_tables(p, q, 2, _MASK8)
+    table, dist = hash_tables(p, q, 8)
     if engine is not None and not trace:
         return _compiled(engine.hashq, p, t, q, table, dist)
     # constant advance after a comparison: back to the suffix hash's last

@@ -1,8 +1,10 @@
-"""The compiled engine (counting loops and table builder), built from
+"""The compiled engine (counting loops and table builders), built from
 ``_engine.c`` on first import and cached as
-``__pycache__/_engine.<crc32 of the source><ABI suffix>``.  ``ENGINE`` is
-``"c"``, or ``"python"`` with ``ENGINE_REASON`` saying why."""
+``__pycache__/_engine.<crc32 of the source><ABI suffix>`` in place of any
+earlier build.  ``ENGINE`` is ``"c"``, or ``"python"`` with
+``ENGINE_REASON`` saying why."""
 
+import contextlib
 import importlib.util
 import os
 import zlib
@@ -37,6 +39,12 @@ def load(source: str):
                               f"_engine.{crc:08x}{EXTENSION_SUFFIXES[0]}")
         if not os.path.exists(target):
             _compile(source, target)
+            cache, name = os.path.split(target)
+            for old in os.listdir(cache):  # only this build can ever load
+                if old != name and old.startswith("_engine.") \
+                        and old.endswith(EXTENSION_SUFFIXES[0]):
+                    with contextlib.suppress(OSError):  # raced, or not ours
+                        os.remove(os.path.join(cache, old))
         spec = importlib.util.spec_from_file_location("qgramsearch._engine",
                                                       target)
         module = importlib.util.module_from_spec(spec)

@@ -30,39 +30,8 @@ from array import array
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .hashing import _MASK16, check_q, qgram_hashes
+from .hashing import check_q, fingerprint, qgram_hashes
 from .native import engine
-
-
-def strong_border_table(pattern: bytes) -> list[int]:
-    """Strong border lengths, entries 1..m+1 (index 0 is padding).
-
-    Entry j < m+1 is the length of the longest proper border k of
-    P[1:j-1] whose following character differs from P[j] (-1 if none,
-    counting the empty border only when P[1] != P[j]).  Entry m+1 is the
-    plain longest border length of the whole pattern.
-
-    >>> strong_border_table(b"a")[1:]
-    [-1, 0]
-    """
-    pat = bytes(pattern)
-    m = len(pat)
-    if m == 0:
-        raise ConfigurationError("pattern must be non-empty")
-    sb = [0] * (m + 2)
-    sb[1] = -1
-    i = 0  # 0-based scan position; sb[i+1] is being produced
-    j = -1  # current strong border candidate length
-    while i < m:
-        while j > -1 and pat[i] != pat[j]:
-            j = sb[j + 1]
-        i += 1
-        j += 1
-        if i < m and pat[i] == pat[j]:
-            sb[i + 1] = sb[j + 1]
-        else:
-            sb[i + 1] = j
-    return sb
 
 
 def kmp_shift_table(pattern: bytes) -> array:
@@ -70,40 +39,53 @@ def kmp_shift_table(pattern: bytes) -> array:
     ``array('I')`` (index 0 is padding).
 
     Entry j is how far the pattern slides after a mismatch at position j
-    (entry m+1: after a full match).  Every entry is in [1, j].
+    (entry m+1: after a full match).  Every entry is in [1, j].  The strong
+    border of j <= m is the longest border k < j - 1 of P[1:j-1] with
+    P[k+1] != P[j] (-1 if none); that of m+1 is P's longest border < m.
 
     >>> list(kmp_shift_table(b"aa")[1:])
     [1, 2, 1]
     """
-    if engine is None or not pattern:  # b"" raises ConfigurationError here
-        sb = strong_border_table(pattern)
-        return array("I", [0] + [j - sb[j] - 1 for j in range(1, len(sb))])
-    ks = array("I", [0]) * (len(pattern) + 2)
-    engine.tables(pattern, ks)
+    pat = bytes(pattern)
+    m = len(pat)
+    if m == 0:
+        raise ConfigurationError("pattern must be non-empty")
+    ks = array("I", [0]) * (m + 2)
+    if engine is not None:
+        engine.kmp_table(pat, ks)
+        return ks
+    ks[1] = 1
+    i, j = 0, -1  # 0-based scan position, strong border candidate length
+    while i < m:
+        while j > -1 and pat[i] != pat[j]:
+            j -= ks[j + 1]
+        i += 1
+        j += 1
+        ks[i + 1] = i - (j - ks[j + 1] if i < m and pat[i] == pat[j] else j)
     return ks
 
 
-def hash_tables(pattern: bytes, q: int, base: int = 4,
-                mask: int = _MASK16) -> tuple[array, array]:
+def hash_tables(pattern: bytes, q: int, bits: int = 16) -> tuple[array, array]:
     """``(hq, dist)`` for ``pattern`` from one scan of its q-gram hashes,
     once :func:`~qgramsearch.hashing.check_q` accepts (pattern, q).
 
-    ``base``/``mask`` pick the fingerprint as in
-    :func:`~qgramsearch.hashing.qgram_hashes`; ``hq`` has ``mask + 1``
-    entries.  Dist entry j in [q, m] is j - p for the largest p in [q, j)
-    with the same hash as j, or j - q + 1 when there is none.  One
-    ascending scan gives both: O(m) work beyond allocating ``hq``.
+    ``bits`` (16 or 8) picks the fingerprint as in
+    :func:`~qgramsearch.hashing.fingerprint`; ``hq`` has 2^bits entries.
+    Dist entry j in [q, m] is j - p for the largest p in [q, j) with the
+    same hash as j, or j - q + 1 when there is none.  One ascending scan
+    gives both: O(m) work beyond allocating ``hq``.
     """
     m = len(pattern)
     check_q(q, m)
+    _, mask = fingerprint(bits)
     # before the scan's temporaries: after them, CLI peak RSS rose ~0.12 MB
     hq = array("I", [m - q + 1]) * (mask + 1)
     # entries below q are inert: never above a real gap
     dist = array("I", [0] + [1] * m)
     if engine is not None:
-        engine.tables(pattern, None, q, base, mask, hq, dist)
+        engine.hash_tables(pattern, q, bits, hq, dist)
         return hq, dist
-    hs = qgram_hashes(pattern, q, base, mask)
+    hs = qgram_hashes(pattern, q, bits)
     for j in range(q, m + 1):
         h = hs[j]
         # hq[h] is m - p for the last p < j with this hash, or the prefill
@@ -132,8 +114,8 @@ class PatternProfile:
 def build_profile(pattern: bytes, q: int) -> PatternProfile:
     """Build all shift tables for ``pattern`` at q-gram size ``q``.
 
-    The pattern q-gram hashes come from a single rolling pass, so
-    preprocessing is O(m) plus the table allocations.
+    Each table comes from one O(m) scan of the pattern, so preprocessing
+    is O(m) plus the table allocations.
     """
     pat = bytes(pattern)
     hq, dist = hash_tables(pat, q)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qgramsearch import ConfigurationError, SearchStats, build_profile, \
     distq_search, fibonacci_string, hashq_search, kmp_search, \
-    kmp_shift_table, ldistq_search, naive_search, strong_border_table
+    kmp_shift_table, ldistq_search, naive_search
 from qgramsearch.hashing import qgram_hashes
 from oracles import dist_oracle, hash8_oracle, occurrences_oracle
 
@@ -66,7 +66,6 @@ def test_empty_pattern_rejected_everywhere():
                  lambda: hashq_search(b"abc", b"", 1),
                  lambda: build_profile(b"", 1),
                  lambda: kmp_shift_table(b""),
-                 lambda: strong_border_table(b""),
                  lambda: qgram_hashes(b"", 1)):
         with pytest.raises(ConfigurationError):
             call()

@@ -52,6 +52,17 @@ def test_build_is_cached_even_without_bytecode(tmp_path, monkeypatch):
     assert again is not None and built[0].stat().st_mtime_ns == stamp
 
 
+def test_a_new_build_removes_the_builds_of_earlier_sources(tmp_path):
+    source = tmp_path / "_engine.c"
+    shutil.copy(SOURCE, source)
+    first, _ = native.load(str(source))
+    source.write_text(SOURCE.read_text() + "/* an edited source */\n")
+    second, reason = native.load(str(source))
+    assert reason is None and second.__file__ != first.__file__
+    assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == \
+        [pathlib.Path(second.__file__).name]
+
+
 def test_source_that_does_not_compile_gives_a_reason(tmp_path):
     source = tmp_path / "_engine.c"
     source.write_text("this is not C\n")
@@ -110,7 +121,7 @@ def test_matchers_agree_without_the_engine(monkeypatch):
 
 def _tables(pattern, q):
     prof = build_profile(pattern, q)
-    return [prof.hq, prof.dist, prof.kmp, *hash_tables(pattern, q, 2, 255),
+    return [prof.hq, prof.dist, prof.kmp, *hash_tables(pattern, q, 8),
             kmp_shift_table(pattern)]
 
 
@@ -120,9 +131,11 @@ def test_builders_agree_without_the_engine(monkeypatch):
     patterns = [bytes(rng.choices(al, k=m)) for m in [*range(1, 91), 70_000]
                 for al in (range(256), rng.sample(range(256), 2))]
     cases = [(p, q) for p in patterns for q in range(1, min(len(p), 8) + 1)]
-    compiled = [_tables(*case) for case in cases]
-    monkeypatch.setattr(preprocess, "engine", None)
-    assert [_tables(*case) for case in cases] == compiled
+    for case in cases:  # one case's tables at a time: 0.3 MB each
+        compiled = _tables(*case)
+        with monkeypatch.context() as python_engine:
+            python_engine.setattr(preprocess, "engine", None)
+            assert _tables(*case) == compiled, case
 
 
 def _distq_args(pattern=PATTERN, q=3):
@@ -130,10 +143,10 @@ def _distq_args(pattern=PATTERN, q=3):
     return [pattern, TEXT, q, prof.hq, prof.dist, prof.kmp, False]
 
 
-def _tables_args(pattern=PATTERN, q=3):
+def _hash_tables_args(pattern=PATTERN, q=3):
     m = len(pattern)
-    return [pattern, array("I", [0]) * (m + 2), q, 4, 0xFFFF,
-            array("I", [m - q + 1]) * 65536, array("I", [0]) * (m + 1)]
+    return [pattern, q, 16, array("I", [m - q + 1]) * 65536,
+            array("I", [0]) * (m + 1)]
 
 
 def _bad(args, slot, value):
@@ -176,30 +189,38 @@ def _table(length, i):
                  "impossible shift", id="kmp-shift-above-j"),
     pytest.param("kmp", [b"", TEXT, array("I", [1]) * 2], "non-empty",
                  id="empty-pattern"),
-    pytest.param("tables", _bad(_tables_args(), 5, array("I", [7]) * 100),
+    pytest.param("hash_tables", _bad(_hash_tables_args(), 3,
+                                     array("I", [7]) * 100),
                  _table(65536, 0), id="tables-short-hq"),
-    pytest.param("tables", _bad(_tables_args(), 5, array("i", [7]) * 65536),
+    pytest.param("hash_tables", _bad(_hash_tables_args(), 3,
+                                     array("i", [7]) * 65536),
                  _table(65536, 0), id="tables-signed-hq"),
-    pytest.param("tables", _bad(_tables_args(), 5, bytes(4 * 65536)),
+    pytest.param("hash_tables", _bad(_hash_tables_args(), 3,
+                                     bytes(4 * 65536)),
                  _table(65536, 0), id="tables-bytes-hq"),
-    pytest.param("tables", _bad(_tables_args(), 5, memoryview(
+    pytest.param("hash_tables", _bad(_hash_tables_args(), 3, memoryview(
                      array("I", [7]) * 65536).toreadonly()),
                  "table 0 must be writable", id="tables-read-only-hq"),
-    pytest.param("tables", _bad(_tables_args(), 6, array("I", [0]) * 9),
+    pytest.param("hash_tables", _bad(_hash_tables_args(), 2, 8),
+                 _table(256, 0), id="tables-16-bit-hq-for-8-bits"),
+    pytest.param("hash_tables", _bad(_hash_tables_args(), 4,
+                                     array("I", [0]) * 9),
                  _table(10, 1), id="tables-short-dist"),
-    pytest.param("tables", _bad(_tables_args(), 1, array("I", [0]) * 10),
-                 _table(11, 2), id="tables-short-kmp"),
-    pytest.param("tables", _bad(_tables_args(), 2, 9), "q must be in",
-                 id="tables-q-above-8"),
-    pytest.param("tables", _bad(_tables_args(b"ab", 2), 2, 3),
+    pytest.param("kmp_table", [PATTERN, array("I", [0]) * 10],
+                 _table(11, 0), id="tables-short-kmp"),
+    pytest.param("kmp_table", [PATTERN, memoryview(
+                     array("I", [0]) * 11).toreadonly()],
+                 "table 0 must be writable", id="tables-read-only-kmp"),
+    pytest.param("hash_tables", _bad(_hash_tables_args(), 1, 9),
+                 "q must be in", id="tables-q-above-8"),
+    pytest.param("hash_tables", _bad(_hash_tables_args(b"ab", 2), 1, 3),
                  "q must be in", id="tables-q-above-m"),
-    pytest.param("tables", _bad(_tables_args(), 5, array("I", [0]) * 65536),
+    pytest.param("hash_tables", _bad(_hash_tables_args(), 3,
+                                     array("I", [0]) * 65536),
                  "prefilled with m - q", id="tables-hq-not-prefilled"),
-    pytest.param("tables", _bad(_tables_args(), 4, 0xFF),
-                 "base and mask must be", id="tables-unsupported-mask"),
-    pytest.param("tables", _tables_args()[:5], "together",
-                 id="tables-missing-hq-and-dist"),
-    pytest.param("tables", [b"", array("I", [0]) * 2], "non-empty",
+    pytest.param("hash_tables", _bad(_hash_tables_args(), 2, 12),
+                 "bits must be 8 or 16", id="tables-unsupported-bits"),
+    pytest.param("kmp_table", [b"", array("I", [0]) * 2], "non-empty",
                  id="tables-empty-pattern"),
 ])
 def test_bad_input_raises_instead_of_reading_out_of_bounds(name, args,

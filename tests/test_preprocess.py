@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgramsearch import MOD16, ConfigurationError, build_profile, \
-    kmp_shift_table, qgram_hash16, strong_border_table
+    kmp_shift_table, preprocess, qgram_hash16
+from qgramsearch.hashing import qgram_hashes
 from qgramsearch.preprocess import hash_tables
 from oracles import dist_oracle, hash16_oracle, hash8_oracle, \
     hq_shift_oracle, strong_border_oracle
@@ -28,8 +29,10 @@ def all_patterns(alphabet, max_len):
 # --- strong border / shift table ---
 
 def test_strong_border_small_patterns():
-    assert strong_border_table(b"a")[1:] == [-1, 0]
-    assert strong_border_table(b"aa")[1:] == [-1, -1, 1]
+    # strong border j reads back from the shift table as j - 1 - kmp[j]
+    for pat, borders in ((b"a", [-1, 0]), (b"aa", [-1, -1, 1])):
+        ks = kmp_shift_table(pat)
+        assert [j - 1 - ks[j] for j in range(1, len(pat) + 2)] == borders
 
 
 def test_kmp_shift_small_patterns():
@@ -41,22 +44,29 @@ def test_kmp_shift_example_pattern():
     assert list(kmp_shift_table(EXAMPLE)[1:]) == [1, 1, 3, 2, 4, 3, 7, 6, 7, 8]
 
 
-def test_strong_border_exhaustive_two_letters():
-    for pat in all_patterns(b"ab", 12):
-        sb = strong_border_table(pat)
-        for j in range(1, len(pat) + 2):
-            assert sb[j] == strong_border_oracle(pat, j), (pat, j)
+def _assert_kmp_shifts_match_oracle(patterns, monkeypatch):
+    # entry j is j - strong_border(j) - 1, from the compiled builder (when
+    # it is loaded) and from the Python one
+    want = [[0] + [j - strong_border_oracle(pat, j) - 1
+                   for j in range(1, len(pat) + 2)] for pat in patterns]
+    assert [list(kmp_shift_table(pat)) for pat in patterns] == want
+    monkeypatch.setattr(preprocess, "engine", None)
+    assert [list(kmp_shift_table(pat)) for pat in patterns] == want
 
 
-def test_strong_border_random_longer_patterns():
+def test_strong_border_exhaustive_two_letters(monkeypatch):
+    _assert_kmp_shifts_match_oracle(list(all_patterns(b"ab", 12)),
+                                    monkeypatch)
+
+
+def test_strong_border_random_longer_patterns(monkeypatch):
     rng = random.Random(7)
+    patterns = []
     for _ in range(1000):
         sigma = rng.choice((2, 3, 26))
         m = rng.randint(13, 48)
-        pat = bytes(rng.choices(range(97, 97 + sigma), k=m))
-        sb = strong_border_table(pat)
-        for j in range(1, m + 2):
-            assert sb[j] == strong_border_oracle(pat, j), (pat, j)
+        patterns.append(bytes(rng.choices(range(97, 97 + sigma), k=m)))
+    _assert_kmp_shifts_match_oracle(patterns, monkeypatch)
 
 
 @given(st.binary(min_size=1, max_size=40))
@@ -176,7 +186,7 @@ def test_profile_tables_match_oracles(data):
     for j in range(1, m + 1):
         assert prof.dist[j] == dist_oracle(pat, q, j), (pat, q, j)
     # the 8-bit tables of the hash-shift baseline, every entry
-    hq8, dist8 = hash_tables(pat, q, 2, 255)
+    hq8, dist8 = hash_tables(pat, q, 8)
     assert len(hq8) == 256
     for c in range(256):
         assert hq8[c] == hq_shift_oracle(pat, q, c, hash8_oracle), (pat, q, c)
@@ -203,6 +213,16 @@ def test_profile_allocates_one_hash_table(m):
 def test_profile_rejects_bad_q(pat, q):
     with pytest.raises(ConfigurationError):
         build_profile(pat, q)
+
+
+def test_bits_other_than_8_or_16_rejected_on_both_engines(monkeypatch):
+    for engine in (preprocess.engine, None):
+        monkeypatch.setattr(preprocess, "engine", engine)
+        for bits in (0, 3, 12, 32):
+            with pytest.raises(ConfigurationError, match="bits must be 8 or"):
+                hash_tables(b"abcab", 2, bits)
+    with pytest.raises(ConfigurationError, match="bits must be 8 or"):
+        qgram_hashes(b"abcab", 2, 3)
 
 
 def test_q_equal_to_m_allowed():
