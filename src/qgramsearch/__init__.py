@@ -6,13 +6,10 @@ border, 8-bit hash shift), the preprocessing that feeds them, corpus
 generators and a small benchmark harness.  See the README for the CLI.
 ``ENGINE`` names the engine that untraced kmp, hashq, distq and ldistq
 searches and the table builders run on: ``"c"`` (compiled on first import)
-or ``"python"``.
+or ``"python"``.  The bench and corpus names are imported on first use,
+so a search loads neither module.
 """
 
-from .bench import BenchSpec, EmbedSource, FibonacciSource, FileSource, \
-    ReportRow, emit_report, run_benchmark
-from .corpus import CorpusSpec, GeneratedCorpus, alphabet_bytes, \
-    fibonacci_string, load_text, random_text_with_occurrences, sample_patterns
 from .errors import BenchmarkError, ConfigurationError, Error, GenerationError
 from .hashing import MAX_Q, MOD8, MOD16, qgram_hash8, qgram_hash16
 from .matchers import ALGORITHMS, SearchOutcome, SearchStats, SearchTrace, \
@@ -33,3 +30,15 @@ __all__ = [
     "naive_search", "qgram_hash16", "qgram_hash8",
     "random_text_with_occurrences", "run_benchmark", "sample_patterns",
 ]
+
+
+def __getattr__(name):
+    """Import a bench or corpus name of ``__all__`` on first use, and keep
+    it here: bench imports corpus, so each name loads only what it needs."""
+    from importlib import import_module
+    for module in ("corpus", "bench") if name in __all__ else ():
+        value = getattr(import_module(f".{module}", __name__), name, None)
+        if value is not None:
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from time import perf_counter
 
 from .corpus import CorpusSpec, load_text, fibonacci_string, \
@@ -144,8 +144,8 @@ def _measure(algo: str, q: int, text: bytes, pattern: bytes,
 
 
 def _add_stats(acc: SearchStats, extra: SearchStats) -> SearchStats:
-    return SearchStats(**{f.name: getattr(acc, f.name) + getattr(extra, f.name)
-                          for f in fields(SearchStats)})
+    return SearchStats(**{name: value + getattr(extra, name)
+                          for name, value in vars(acc).items()})
 
 
 def _measure_cell(spec: BenchSpec, label: str, text: bytes, m: int,

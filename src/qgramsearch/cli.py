@@ -10,7 +10,8 @@ Subcommands:
 
 Literal --text/--pattern arguments are encoded latin-1 so each character
 maps to the byte of its code point.  A q larger than the pattern (or 8) is
-clamped with a warning; everything else invalid is a hard error.
+clamped with a warning; everything else invalid is a hard error.  Each
+subcommand imports the modules only it uses: a search loads no harness.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ import argparse
 import os
 import sys
 
-from .bench import BenchSpec, EmbedSource, FibonacciSource, \
-    FileSource, _reject_repeats, emit_report, run_benchmark
-from .corpus import CorpusSpec, fibonacci_string, load_text, \
-    random_text_with_occurrences
 from .errors import ConfigurationError, Error
 from .hashing import MAX_Q, clamp_q
 from .matchers import ALGORITHMS, MATCHERS
@@ -78,6 +75,7 @@ def _encode_literal(value: str, what: str) -> bytes:
 def _load_operand(literal, path, strip_newlines: bool, what: str) -> bytes:
     if literal is not None:
         return _encode_literal(literal, what)
+    from .corpus import load_text
     return load_text(path, strip_newlines=strip_newlines)
 
 
@@ -94,6 +92,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_gen_fib(args) -> int:
+    from .corpus import fibonacci_string
     data = fibonacci_string(args.k)
     with open(args.out, "wb") as fh:
         fh.write(data)
@@ -102,6 +101,7 @@ def _cmd_gen_fib(args) -> int:
 
 
 def _cmd_gen_occ(args) -> int:
+    from .corpus import CorpusSpec, random_text_with_occurrences
     corpus = random_text_with_occurrences(
         CorpusSpec(n=args.n, sigma=args.sigma, m=args.m, occ=args.occ,
                    seed=args.seed))
@@ -126,6 +126,8 @@ def _csv_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import BenchSpec, EmbedSource, FibonacciSource, \
+        FileSource, _reject_repeats, emit_report, run_benchmark
     given = [s for s in (args.text_file, args.fib, args.embed_n)
              if s is not None]
     if len(given) != 1:

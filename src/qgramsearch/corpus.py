@@ -9,10 +9,8 @@ Twister) seeded explicitly, so every corpus is reproducible from its spec.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import ConfigurationError, GenerationError
+from .errors import ConfigurationError, GenerationError, _FrozenRecord
 
 MAX_FIB_ORDER = 40
 MAX_SIGMA = 95
@@ -43,36 +41,25 @@ def fibonacci_string(k: int) -> bytes:
     return cur
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(_FrozenRecord):
     """Parameters of one generated random text with embedded occurrences."""
 
-    n: int
-    sigma: int
-    m: int
-    occ: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {self.n}")
-        if not 2 <= self.sigma <= MAX_SIGMA:
-            raise ConfigurationError(
-                f"sigma must be in [2, {MAX_SIGMA}], got {self.sigma}")
-        if self.m < 1:
-            raise ConfigurationError(f"m must be >= 1, got {self.m}")
-        if self.occ < 0:
-            raise ConfigurationError(f"occ must be >= 0, got {self.occ}")
-        if self.occ * self.m > self.n:
-            raise ConfigurationError(
-                f"occ*m = {self.occ * self.m} exceeds n = {self.n}")
+    def __init__(self, n: int, sigma: int, m: int, occ: int, seed: int):
+        if n < 1:
+            raise ConfigurationError(f"n must be >= 1, got {n}")
+        alphabet_bytes(sigma)  # the one check of sigma
+        if m < 1:
+            raise ConfigurationError(f"m must be >= 1, got {m}")
+        if occ < 0:
+            raise ConfigurationError(f"occ must be >= 0, got {occ}")
+        if occ * m > n:
+            raise ConfigurationError(f"occ*m = {occ * m} exceeds n = {n}")
+        self.__dict__.update(n=n, sigma=sigma, m=m, occ=occ, seed=seed)
 
 
-@dataclass(frozen=True)
-class GeneratedCorpus:
-    text: bytes
-    pattern: bytes
-    occ: int
+class GeneratedCorpus(_FrozenRecord):
+    def __init__(self, text: bytes, pattern: bytes, occ: int):
+        self.__dict__.update(text=text, pattern=pattern, occ=occ)
 
 
 def _count_occurrences(text, pattern) -> int:
@@ -160,5 +147,6 @@ def sample_patterns(text: bytes, m: int, count: int, seed: int) -> list[bytes]:
 
 def load_text(path, *, strip_newlines: bool = False) -> bytes:
     """Read a file as raw bytes, optionally dropping line-feed bytes."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     return data.replace(b"\n", b"") if strip_newlines else data

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types and the record base classes shared across the package.
 
 Every rejected input (an empty pattern, a q outside [1, min(m, 8)], a hash
 window whose length is not q, a bad CLI or benchmark setting) raises
@@ -22,3 +22,27 @@ class GenerationError(Error, RuntimeError):
 
 class BenchmarkError(Error, RuntimeError):
     """A benchmark-time invariant failed, e.g. matchers disagree on counts."""
+
+
+class _Record:
+    """Equality (same class only) and repr by field, in ``vars()`` order."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) \
+            else NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A record whose fields only ``__init__`` sets; hashed by field."""
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))

@@ -38,9 +38,7 @@ alignment without moving it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _Record
 from .hashing import MOD16, _MASK8, _MASK16
 from .native import engine
 from .preprocess import PatternProfile, build_profile, hash_tables, \
@@ -51,8 +49,7 @@ SHIFT_DIST = "dist"
 SHIFT_KMP = "kmp"
 
 
-@dataclass
-class SearchStats:
+class SearchStats(_Record):
     """Work counters for one search run.
 
     char_comparisons counts pattern-vs-text byte tests during window
@@ -65,30 +62,32 @@ class SearchStats:
     0 when the text is shorter than the pattern (n < m).
     """
 
-    char_comparisons: int = 0
-    first_char_checks: int = 0
-    hashed_char_reads: int = 0
-    hq_shifts: int = 0
-    dist_shifts: int = 0
-    kmp_shifts: int = 0
-    windows: int = 0
+    def __init__(self, char_comparisons=0, first_char_checks=0,
+                 hashed_char_reads=0, hq_shifts=0, dist_shifts=0,
+                 kmp_shifts=0, windows=0):
+        self.char_comparisons = char_comparisons
+        self.first_char_checks = first_char_checks
+        self.hashed_char_reads = hashed_char_reads
+        self.hq_shifts = hq_shifts
+        self.dist_shifts = dist_shifts
+        self.kmp_shifts = kmp_shifts
+        self.windows = windows
 
 
-@dataclass
-class SearchTrace:
+class SearchTrace(_Record):
     """Per-event log: shift events (kind, amount), alignment q-gram
     positions, and the text positions at which window hashes ended."""
 
-    shifts: list[tuple[str, int]] = field(default_factory=list)
-    positions: list[int] = field(default_factory=list)
-    hash_ends: list[int] = field(default_factory=list)
+    def __init__(self, shifts=None, positions=None, hash_ends=None):
+        self.shifts = [] if shifts is None else shifts
+        self.positions = [] if positions is None else positions
+        self.hash_ends = [] if hash_ends is None else hash_ends
 
 
-@dataclass
-class SearchOutcome:
-    occurrences: list[int]
-    stats: SearchStats
-    trace: SearchTrace | None  # None unless the search ran with trace=True
+class SearchOutcome(_Record):
+    def __init__(self, occurrences: list[int], stats: SearchStats,
+                 trace: SearchTrace | None):  # None unless trace=True
+        self.occurrences, self.stats, self.trace = occurrences, stats, trace
 
 
 def _compiled(loop, *args) -> SearchOutcome:

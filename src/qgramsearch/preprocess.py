@@ -27,9 +27,8 @@ same scans and are the reference it is tested against.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _FrozenRecord
 from .hashing import check_q, fingerprint, qgram_hashes
 from .native import engine
 
@@ -95,20 +94,19 @@ def hash_tables(pattern: bytes, q: int, bits: int = 16) -> tuple[array, array]:
     return hq, dist
 
 
-@dataclass(frozen=True)
-class PatternProfile:
+class PatternProfile(_FrozenRecord):
     """Everything the distance-shift matchers need about one pattern.
 
     ``kmp`` (entries 1..m+1), ``hq`` (one entry per 16-bit hash) and
     ``dist`` (entries 1..m) are ``array('I')`` tables, shared, not copied;
-    treat them as read-only.
+    treat them as read-only.  The repr leaves them out.
     """
 
-    pattern: bytes
-    q: int
-    kmp: array = field(repr=False)
-    hq: array = field(repr=False)
-    dist: array = field(repr=False)
+    def __init__(self, pattern: bytes, q: int, kmp, hq, dist):
+        self.__dict__.update(pattern=pattern, q=q, kmp=kmp, hq=hq, dist=dist)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(pattern={self.pattern!r}, q={self.q})"
 
 
 def build_profile(pattern: bytes, q: int) -> PatternProfile:
