@@ -7,12 +7,34 @@
  * array('I') of the length its caller builds, and an entry no valid table
  * holds raises ValueError, so no input makes a loop read or write out of
  * bounds or stop advancing.  Unsigned 32-bit hashes masked to 16 or 8 bits
- * equal the Python polynomials mod 2^16 or 2^8. */
+ * equal the Python polynomials mod 2^16 or 2^8.  distq takes no hq table:
+ * it reads HQ below, which only this file writes. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
 
 typedef long long i64;
+
+/* The 16-bit hq table of the pattern being scanned, kept as its complement:
+ * entry h is m - q + 1 - hq[h], that is p - q + 1 for the rightmost pattern
+ * q-gram ending at p that hashes to h, and 0 ("clean") when none does.  A
+ * call sets the entries of its pattern's q-grams and clears them before it
+ * releases any buffer, on every path, holding the GIL throughout (no Python
+ * code runs in between: list appends and int creation never start the GC).
+ * So HQ is all clean between calls, and a search touches O(m) of it. */
+static uint32_t HQ[65536];
+static int scan(const unsigned char *P, Py_ssize_t m, int q, int bits,
+                uint32_t *hq, uint32_t *dist);
+static void clear(const unsigned char *P, Py_ssize_t m, int q, int bits);
+
+/* Where the hot loops sit.  kmp starts on a 64-byte boundary, each loop of
+ * distq starts on one (LOOPS_PLACED), and hashq follows distq.  They are
+ * that sensitive to placement: distq ran 12-25 % slower on Fibonacci text
+ * with its comparison loop across a 64-byte line than inside one, kmp 29 %
+ * slower 32 bytes away, and hashq 3 % slower 16 bytes away.  After an edit,
+ * compare `objdump -d` and a paired timing of each loop with the parent. */
+#define PLACED __attribute__((aligned(64)))
+#define LOOPS_PLACED __attribute__((optimize("align-loops=64")))
 
 /* The pattern, the text and up to three tables of one call. */
 typedef struct { Py_buffer p, t, tab[3]; } Args;
@@ -66,7 +88,7 @@ static PyObject *result(Args *a, int ok, PyObject *occ, i64 cmps,
                          dist_n, kmp_n, windows);
 }
 
-static PyObject *kmp(PyObject *self, PyObject *args) {
+PLACED static PyObject *kmp(PyObject *self, PyObject *args) {
     Args a = {0};
     PyObject *ko, *occ = NULL;
     const uint32_t *ks;
@@ -147,12 +169,12 @@ static PyObject *hashq(PyObject *self, PyObject *args) {
     return result(&a, ok, occ, cmps, 0, reads, hq_n, dist_n, 0, windows);
 }
 
-static PyObject *distq(PyObject *self, PyObject *args) {
+LOOPS_PLACED static PyObject *distq(PyObject *self, PyObject *args) {
     Args a = {0};
-    PyObject *ho, *dob, *ko, *occ = NULL;
-    const uint32_t *hq, *dist, *ks;
+    PyObject *dob, *ko, *occ = NULL;
+    const uint32_t *dist, *ks;
     int q, rolling;
-    if (!PyArg_ParseTuple(args, "y*y*iOOOp", &a.p, &a.t, &q, &ho, &dob, &ko,
+    if (!PyArg_ParseTuple(args, "y*y*iOOp", &a.p, &a.t, &q, &dob, &ko,
                           &rolling))
         return NULL;
     const unsigned char *P = a.p.buf, *T = a.t.buf;
@@ -160,10 +182,12 @@ static PyObject *distq(PyObject *self, PyObject *args) {
     i64 cmps = 0, fchecks = 0, reads = 0, hq_n = 0, dist_n = 0, kmp_n = 0;
     i64 windows = n >= m;  /* the first alignment, if it fits */
     int ok = q_ok(q, m)
-        && (hq = table(&a, 0, ho, 65536)) != NULL
-        && (dist = table(&a, 1, dob, m + 1)) != NULL
-        && (ks = table(&a, 2, ko, m + 2)) != NULL
+        && (dist = table(&a, 0, dob, m + 1)) != NULL
+        && (ks = table(&a, 1, ko, m + 2)) != NULL
         && (occ = PyList_New(0)) != NULL;
+    int marked = ok;  /* HQ holds this pattern's entries until clear() */
+    if (marked)
+        scan(P, m, q, 16, NULL, NULL);
     uint32_t pow4 = 1, h, sh = 0, last_h = 0;
     for (s = 1; ok && s < q; s++)
         pow4 *= 4;  /* weight of a window's leading byte */
@@ -189,7 +213,7 @@ static PyObject *distq(PyObject *self, PyObject *args) {
                     reads += q;
                 }
                 last_end = e, last_h = h;
-                sh = hq[h];
+                sh = mq1 - HQ[h];  /* in [0, m - q + 1]: pos = m - sh >= 0 */
                 k += sh;
                 if (k > n)
                     break;
@@ -201,10 +225,6 @@ static PyObject *distq(PyObject *self, PyObject *args) {
             }
             if (k > n)
                 break;  /* window left the text */
-            if (sh > mq1) {
-                ok = fail("hq table holds a shift above m - q + 1");
-                break;
-            }
             pos = m - sh;
             fchecks++;  /* the extend loop's first test */
             j = 1, i = k - m + 1;
@@ -232,6 +252,8 @@ static PyObject *distq(PyObject *self, PyObject *args) {
                 kmp_n++;
         }
     }
+    if (marked)
+        clear(P, m, q, 16);
     return result(&a, ok, occ, cmps - fchecks, fchecks, reads, hq_n, dist_n,
                   kmp_n, windows);
 }
@@ -274,39 +296,67 @@ static PyObject *kmp_table(PyObject *self, PyObject *args) {
     return ok ? Py_NewRef(Py_None) : NULL;
 }
 
-/* hash_tables(pattern, q, bits, hq, dist) fills hq and dist like
- * hash_tables, hashing each pattern q-gram afresh with the 16-bit (base 4)
- * or 8-bit (base 2) fingerprint. */
+/* Hash of the q-gram of P that ends before index j, in the bits-bit
+ * fingerprint: base 4 for 16 bits, base 2 for 8. */
+static uint32_t qgram(const unsigned char *P, Py_ssize_t j, int q, int bits) {
+    uint32_t h = 0, base = bits == 16 ? 4 : 2;
+    for (Py_ssize_t s = j - q; s < j; s++)
+        h = h * base + P[s];
+    return h & (bits == 16 ? 0xFFFF : 0xFF);
+}
+
+/* The one scan of the q-grams of P ending at j = q..m, ascending.  It runs
+ * through hq when one is given (2^bits shifts prefilled with m - q + 1,
+ * which no real shift equals) and through HQ otherwise.  Either way v is
+ * p - q + 1 for the previous p with hash h, or 0 for the virtual p = q - 1,
+ * so dist[j] = j - p = j - q + 1 - v, and then the entry records p = j.
+ * 1, or 0 with a ValueError set when an hq entry names no p in [q - 1, j). */
+static int scan(const unsigned char *P, Py_ssize_t m, int q, int bits,
+                uint32_t *hq, uint32_t *dist) {
+    for (Py_ssize_t j = q, v; j <= m; j++) {
+        uint32_t h = qgram(P, j, q, bits);
+        if (hq == NULL)
+            v = HQ[h], HQ[h] = j - q + 1;
+        else if ((v = m - q + 1 - (Py_ssize_t)hq[h]) < 0 || v > j - q)
+            return fail("hq must be prefilled with m - q + 1");
+        else
+            hq[h] = m - j;
+        if (dist != NULL)
+            dist[j] = j - q + 1 - v;
+    }
+    return 1;
+}
+
+/* Clean the HQ entries that scan() set for the q-grams of P. */
+static void clear(const unsigned char *P, Py_ssize_t m, int q, int bits) {
+    for (Py_ssize_t j = q; j <= m; j++)
+        HQ[qgram(P, j, q, bits)] = 0;
+}
+
+/* hash_tables(pattern, q, bits, hq, dist) fills dist like hash_tables, and
+ * hq (2^bits entries, prefilled with m - q + 1) unless it is None, with one
+ * scan(); without hq the scan runs through HQ and leaves it clean. */
 static PyObject *hash_tables(PyObject *self, PyObject *args) {
     Args a = {0};
     PyObject *ho, *dob;
-    uint32_t *hq, *dist;
+    uint32_t *hq = NULL, *dist;
     int q, bits;
     if (!PyArg_ParseTuple(args, "y*iiOO", &a.p, &q, &bits, &ho, &dob))
         return NULL;
     const unsigned char *P = a.p.buf;
-    Py_ssize_t m = a.p.len, j, s, v;
+    Py_ssize_t m = a.p.len, j;
     int ok = q_ok(q, m)
         && (m < UINT32_MAX || fail("m + 1 must fit in 32 bits"))
         && (bits == 16 || bits == 8 || fail("bits must be 8 or 16"))
-        && (hq = out_table(&a, 0, ho, (Py_ssize_t)1 << bits)) != NULL
+        && (ho == Py_None
+            || (hq = out_table(&a, 0, ho, (Py_ssize_t)1 << bits)) != NULL)
         && (dist = out_table(&a, 1, dob, m + 1)) != NULL;
-    uint32_t base = bits == 16 ? 4 : 2, mask = bits == 16 ? 0xFFFF : 0xFF;
-    for (j = 0; ok && j < q; j++)
-        dist[j] = j > 0;  /* inert entries: never above a real gap */
-    for (j = q; ok && j <= m; j++) {
-        uint32_t h = 0;
-        for (s = j - q; s < j; s++)
-            h = h * base + P[s];
-        h &= mask;
-        /* the prefill m - q + 1 is no real shift (those are m - p for a
-         * q-gram ending at p >= q): it marks a hash not seen yet, and m
-         * minus it is the virtual position q - 1 */
-        v = hq[h];
-        if (v < m - j + 1 || v > m - q + 1)
-            ok = fail("hq must be prefilled with m - q + 1");
-        else
-            dist[j] = j - (m - v), hq[h] = m - j;
+    if (ok) {
+        for (j = 0; j < q; j++)
+            dist[j] = j > 0;  /* inert entries: never above a real gap */
+        ok = scan(P, m, q, bits, hq, dist);
+        if (hq == NULL)
+            clear(P, m, q, bits);
     }
     result(&a, 0, NULL, 0, 0, 0, 0, 0, 0, 0);  /* releases the buffers */
     return ok ? Py_NewRef(Py_None) : NULL;
@@ -315,7 +365,7 @@ static PyObject *hash_tables(PyObject *self, PyObject *args) {
 static PyMethodDef methods[] = {
     {"kmp", kmp, METH_VARARGS, "kmp(pattern, text, kmp)"},
     {"hashq", hashq, METH_VARARGS, "hashq(pattern, text, q, hq, dist)"},
-    {"distq", distq, METH_VARARGS, "distq(p, t, q, hq, dist, kmp, rolling)"},
+    {"distq", distq, METH_VARARGS, "distq(p, t, q, dist, kmp, rolling)"},
     {"kmp_table", kmp_table, METH_VARARGS, "kmp_table(pattern, kmp)"},
     {"hash_tables", hash_tables, METH_VARARGS,
      "hash_tables(pattern, q, bits, hq, dist)"},

@@ -234,8 +234,8 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
     n, m = len(t), len(p)
     q = profile.q
     if engine is not None and not trace:
-        return _compiled(engine.distq, p, t, q, profile.hq, profile.dist,
-                         profile.kmp, rolling)
+        return _compiled(engine.distq, p, t, q, profile.dist, profile.kmp,
+                         rolling)
     log = SearchTrace() if trace else None
     hq_tab = profile.hq
     dist_tab = profile.dist

@@ -6,8 +6,9 @@ buffer of unsigned 32-bit entries; entries are at most m + 1, and a value
 out of range raises ``OverflowError`` instead of wrapping.  Compare a table
 with a list by value, through ``list(table)``.
 
-:func:`build_profile` builds the tables below; :func:`hash_tables` is the
-one builder of ``hq`` and ``dist`` (16-bit here, 8-bit for ``hashq_search``):
+:func:`build_profile` builds the ``kmp`` and ``dist`` tables below;
+:func:`hash_tables` is the one builder of ``hq`` and ``dist`` (16-bit for
+``PatternProfile.hq``, 8-bit for ``hashq_search``):
 
 * ``kmp``: the strong border shifts of the prefix-based matcher;
 * ``hq``: entry c is how far the window may jump so that its suffix q-gram
@@ -15,13 +16,17 @@ one builder of ``hq`` and ``dist`` (16-bit here, 8-bit for ``hashq_search``):
 * ``dist``: entry j is the smallest k >= 1 such that the q-gram ending at
   j-k hashes like the one ending at j (capped at j-q+1 when none does).
 
-:func:`hash_tables` gets both from one ascending scan over an ``hq``
-prefilled with m - q + 1, a value no real shift takes: an entry still
-holding it marks a hash not seen yet, so the scan needs no map of last
-positions and touches O(m) entries.  :func:`hash_tables` and
+Both come from one ascending scan of the pattern's q-gram hashes over an
+``hq`` prefilled with m - q + 1, a value no real shift takes: an entry
+still holding it marks a hash not seen yet, so the scan needs no map of
+last positions and touches O(m) entries.  :func:`hash_tables` and
 :func:`kmp_shift_table` fill their tables in the compiled engine (see
 :mod:`qgramsearch.native`) when it is loaded; their Python bodies run the
-same scans and are the reference it is tested against.
+same scans and are the reference it is tested against.  Given no ``hq`` to
+fill, the compiled scan runs through a 16-bit table of the engine's own and
+leaves it clean, so :func:`build_profile` gets ``dist`` without any
+2^16-entry table; the compiled distq search sets and clears that table's
+O(m) entries itself.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ def hash_tables(pattern: bytes, q: int, bits: int = 16) -> tuple[array, array]:
     :func:`~qgramsearch.hashing.fingerprint`; ``hq`` has 2^bits entries.
     Dist entry j in [q, m] is j - p for the largest p in [q, j) with the
     same hash as j, or j - q + 1 when there is none.  One ascending scan
-    gives both: O(m) work beyond allocating ``hq``.
+    gives both: O(mq) work beyond allocating ``hq``.
     """
     m = len(pattern)
     check_q(q, m)
@@ -97,25 +102,39 @@ def hash_tables(pattern: bytes, q: int, bits: int = 16) -> tuple[array, array]:
 class PatternProfile(_FrozenRecord):
     """Everything the distance-shift matchers need about one pattern.
 
-    ``kmp`` (entries 1..m+1), ``hq`` (one entry per 16-bit hash) and
-    ``dist`` (entries 1..m) are ``array('I')`` tables, shared, not copied;
-    treat them as read-only.  The repr leaves them out.
+    ``kmp`` (entries 1..m+1) and ``dist`` (entries 1..m) are ``array('I')``
+    tables, shared, not copied; treat them as read-only.  The repr leaves
+    them out.  ``hq`` is not a field: see :attr:`hq`.
     """
 
-    def __init__(self, pattern: bytes, q: int, kmp, hq, dist):
-        self.__dict__.update(pattern=pattern, q=q, kmp=kmp, hq=hq, dist=dist)
+    def __init__(self, pattern: bytes, q: int, kmp, dist):
+        self.__dict__.update(pattern=pattern, q=q, kmp=kmp, dist=dist)
+
+    @property
+    def hq(self) -> array:
+        """The 16-bit ``hq`` table (one entry per hash), built afresh by
+        :func:`hash_tables` on each read: O(2^16 + mq).  The traced and
+        Python searches read it; the compiled search keeps its own."""
+        return hash_tables(self.pattern, self.q)[0]
 
     def __repr__(self):
         return f"{type(self).__name__}(pattern={self.pattern!r}, q={self.q})"
 
 
 def build_profile(pattern: bytes, q: int) -> PatternProfile:
-    """Build all shift tables for ``pattern`` at q-gram size ``q``.
+    """Build the ``kmp`` and ``dist`` tables for ``pattern`` at q-gram size
+    ``q``.
 
-    Each table comes from one O(m) scan of the pattern, so preprocessing
-    is O(m) plus the table allocations.
+    Each comes from one scan of the pattern: with the compiled engine,
+    preprocessing is O(mq) time and O(m) memory, and no table has 2^16
+    entries (the Python scan still fills a 16-bit ``hq`` on the way).
     """
     pat = bytes(pattern)
-    hq, dist = hash_tables(pat, q)
+    if engine is None:  # the Python scan runs through a dense hq
+        dist = hash_tables(pat, q)[1]
+    else:  # the compiled one through the engine's own table
+        check_q(q, len(pat))
+        dist = array("I", [0] + [1] * len(pat))  # as in hash_tables
+        engine.hash_tables(pat, q, 16, None, dist)
     return PatternProfile(pattern=pat, q=q, kmp=kmp_shift_table(pat),
-                          hq=hq, dist=dist)
+                          dist=dist)

@@ -178,8 +178,8 @@ RECORDS = [
      "SearchOutcome(occurrences=[1], stats=SearchStats(char_comparisons=0, "
      "first_char_checks=0, hashed_char_reads=0, hq_shifts=0, dist_shifts=0, "
      "kmp_shifts=0, windows=1), trace=None)"),
-    (qgramsearch.PatternProfile, "pattern q kmp hq dist",
-     (b"ab", 1, _PROFILE.kmp, _PROFILE.hq, _PROFILE.dist),
+    (qgramsearch.PatternProfile, "pattern q kmp dist",
+     (b"ab", 1, _PROFILE.kmp, _PROFILE.dist),
      "PatternProfile(pattern=b'ab', q=1)"),
     (qgramsearch.CorpusSpec, "n sigma m occ seed", (10, 4, 2, 1, 7),
      "CorpusSpec(n=10, sigma=4, m=2, occ=1, seed=7)"),

@@ -194,18 +194,44 @@ def test_profile_tables_match_oracles(data):
         assert dist8[j] == dist_oracle(pat, q, j, hash8_oracle), (pat, q, j)
 
 
-@pytest.mark.parametrize("m", [1, 16, 200])
-def test_profile_allocates_one_hash_table(m):
-    # the 16-bit hq table is the one allocation the size of the hash space;
-    # the distance table needs only O(m) scratch
-    pat = bytes(random.Random(m).choices(range(256), k=m))
+def _profile_peak(pat):
     tracemalloc.start()
     try:
-        build_profile(pat, min(3, m))
-        _, peak = tracemalloc.get_traced_memory()
+        build_profile(pat, min(3, len(pat)))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * sys.getsizeof(array("I", [0]) * MOD16)
+
+
+@pytest.mark.parametrize("m", [1, 16, 200])
+def test_profile_allocates_one_hash_table(m, monkeypatch):
+    # the Python scan's 16-bit hq table is the one allocation the size of
+    # the hash space; the distance table needs only O(m) scratch
+    monkeypatch.setattr(preprocess, "engine", None)
+    pat = bytes(random.Random(m).choices(range(256), k=m))
+    assert _profile_peak(pat) < 1.5 * sys.getsizeof(array("I", [0]) * MOD16)
+
+
+@pytest.mark.parametrize("m", [1, 16, 200])
+def test_compiled_profile_allocates_no_hash_table(m):
+    # the compiled scan runs through the engine's own table: O(m) memory
+    if preprocess.engine is None:
+        pytest.skip("the compiled engine is not loaded")
+    pat = bytes(random.Random(m).choices(range(256), k=m))
+    assert _profile_peak(pat) < 16 * 1024
+
+
+def test_profile_hq_is_the_dense_table_on_both_engines(monkeypatch):
+    rng = random.Random(17)
+    cases = [(EXAMPLE, 3), (b"a", 1), (b"abcd", 4), (b"ab" * 40_000, 8)]
+    cases += [(bytes(rng.choices(b"ab", k=m)), rng.randint(1, min(m, 8)))
+              for m in range(1, 30)]
+    for engine in (preprocess.engine, None):
+        monkeypatch.setattr(preprocess, "engine", engine)
+        for pat, q in cases:
+            prof = build_profile(pat, q)
+            assert "hq" not in vars(prof)  # built on each read
+            assert prof.hq == hash_tables(pat, q)[0], (pat[:20], q)
 
 
 @pytest.mark.parametrize("pat,q", [(b"abc", 4), (b"abc", 0), (b"abc", 9),

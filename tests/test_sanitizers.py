@@ -2,13 +2,18 @@
 
 A copy of the package gets an ``_engine.c`` build with both sanitizers at
 the crc-named cache path that :mod:`qgramsearch.native` loads, and the
-engine's tests run against that copy in a subprocess.  An out-of-bounds
-access, a use after free or undefined behaviour then ends the run with a
-report.  Nothing is written into the package's own ``__pycache__``.
+engine's tests (its table fuzz among them) run against that copy in a
+subprocess.  An out-of-bounds access, a use after free or undefined
+behaviour then ends the run with a report.  Nothing is written into the
+package's own ``__pycache__``.
+
+The builders' comparison is split: its compiled side runs in a sanitized
+subprocess, its Python side here.
 """
 
 import os
 import pathlib
+import pickle
 import shlex
 import shutil
 import subprocess
@@ -20,14 +25,24 @@ from importlib.machinery import EXTENSION_SUFFIXES
 import pytest
 
 import qgramsearch
+from qgramsearch import preprocess
+from test_native import _builder_cases, _tables, \
+    test_builders_agree_without_the_engine as BUILDERS
 
 PACKAGE = pathlib.Path(qgramsearch.__file__).parent
 TESTS = pathlib.Path(__file__).parent
 FLAGS = ["-O1", "-g", "-fsanitize=address,undefined",
          "-fno-sanitize-recover=undefined"]
+# the compiled tables of every builder case, pickled one case at a time
+DUMP = """import pickle, sys
+sys.path.insert(0, sys.argv[1])
+from test_native import _builder_cases, _tables
+for case in _builder_cases():
+    pickle.dump(_tables(*case), sys.stdout.buffer)
+"""
 
 
-def test_engine_tests_pass_under_sanitizers(tmp_path):
+def test_engine_tests_pass_under_sanitizers(tmp_path, monkeypatch):
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     if shutil.which(cc[0]) is None:
         pytest.skip(f"no C compiler: {cc[0]} not found")
@@ -55,9 +70,29 @@ def test_engine_tests_pass_under_sanitizers(tmp_path):
                PYTHONPATH=str(package.parent), PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
-         str(TESTS / "test_native.py"),
+         str(TESTS / "test_native.py"), "-k", f"not {BUILDERS.__name__}",
          f"{TESTS / 'test_matchers.py'}::test_all_matchers_agree_with_naive"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr[-4000:] + run.stdout[-2000:]
+    # BUILDERS with only its compiled side under the sanitizers: run there,
+    # its Python side allocated every q-gram hash through ASan and took two
+    # thirds of the gate's time
+    cases, checked = _builder_cases(), 0
+    with open(tmp_path / "stderr", "w+") as log:
+        with subprocess.Popen([sys.executable, "-c", DUMP, str(TESTS)],
+                              cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                              stderr=log) as child:
+            for case in cases:
+                try:
+                    compiled = pickle.load(child.stdout)
+                except EOFError:  # the child failed: its log says why
+                    break
+                with monkeypatch.context() as python_engine:
+                    python_engine.setattr(preprocess, "engine", None)
+                    assert _tables(*case) == compiled, case
+                checked += 1
+        log.seek(0)
+        assert (child.returncode, checked) == (0, len(cases)), \
+            log.read()[-4000:]
     # test_engine_is_compiled loaded the sanitized build, not a rebuild
     assert build.stat().st_mtime_ns == stamp
