@@ -24,9 +24,11 @@ is built only when the matcher is called with ``trace=True``; otherwise
 
 Untraced kmp, hashq, distq and ldistq searches run the compiled loops of
 ``_engine.c`` (see :mod:`qgramsearch.native`), which return the same
-occurrences and counters.  The Python loops below run every traced search
-and every search when no compiled engine could be loaded, and are the
-reference the compiled loops are tested against.
+occurrences and counters and read the caller's text in place (any
+C-contiguous bytes-like object).  The Python loops below, which copy the
+text to ``bytes``, run every traced search and every search when no
+compiled engine could be loaded, and are the reference the compiled loops
+are tested against.
 
 A shift event is recorded (counted, and traced when asked) only when the
 pattern lands on an alignment that still fits inside the text (the trailing
@@ -90,11 +92,11 @@ class SearchOutcome(_Record):
         self.occurrences, self.stats, self.trace = occurrences, stats, trace
 
 
-def _compiled(loop, *args) -> SearchOutcome:
-    """Outcome of a compiled loop, which returns the occurrences followed by
-    the counters in :class:`SearchStats` field order."""
-    occ, *counts = loop(*args)
-    return SearchOutcome(occ, SearchStats(*counts), None)
+def _compiled(r: tuple) -> SearchOutcome:
+    """Outcome of a compiled loop's result ``r``: the occurrences followed
+    by the counters in :class:`SearchStats` field order."""
+    return SearchOutcome(r[0], SearchStats(r[1], r[2], r[3], r[4], r[5],
+                                           r[6], r[7]), None)
 
 
 def naive_search(text: bytes, pattern: bytes) -> list[int]:
@@ -114,15 +116,15 @@ def naive_search(text: bytes, pattern: bytes) -> list[int]:
 def kmp_search(text: bytes, pattern: bytes,
                trace: bool = False) -> SearchOutcome:
     """Strong-border matcher; at most 2n character comparisons."""
-    t = bytes(text)
     p = bytes(pattern)
     ks = kmp_shift_table(p)  # raises ConfigurationError if p is empty
+    if engine is not None and not trace:
+        return _compiled(engine.kmp(p, text, ks))
+    t = bytes(text)
     n, m = len(t), len(p)
     log = SearchTrace() if trace else None
     if n < m:
         return SearchOutcome([], SearchStats(), log)
-    if engine is not None and not trace:
-        return _compiled(engine.kmp, p, t, ks)
     # read about once per text byte: CPython specialises list subscripts,
     # not array ones, and this private copy costs O(m) per call
     ks = ks.tolist()
@@ -167,12 +169,12 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
     right and advanced by a constant precomputed from the first repeat of
     the suffix hash inside the pattern.
     """
-    t = bytes(text)
     p = bytes(pattern)
-    n, m = len(t), len(p)
     table, dist = hash_tables(p, q, 8)
     if engine is not None and not trace:
-        return _compiled(engine.hashq, p, t, q, table, dist)
+        return _compiled(engine.hashq(p, text, q, table, dist))
+    t = bytes(text)
+    n, m = len(t), len(p)
     # constant advance after a comparison: back to the suffix hash's last
     # earlier occurrence in the pattern
     adv = dist[m]
@@ -229,13 +231,13 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
     every shift decision is identical in both modes, so the two matchers
     produce the same occurrences and the same trace by construction.
     """
+    if engine is not None and not trace:
+        return _compiled(engine.distq(profile.pattern, text, profile.q,
+                                      profile.dist, profile.kmp, rolling))
     t = bytes(text)
     p = profile.pattern
     n, m = len(t), len(p)
     q = profile.q
-    if engine is not None and not trace:
-        return _compiled(engine.distq, p, t, q, profile.dist, profile.kmp,
-                         rolling)
     log = SearchTrace() if trace else None
     hq_tab = profile.hq
     dist_tab = profile.dist

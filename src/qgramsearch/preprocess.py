@@ -4,7 +4,10 @@ Tables are 1-based: the position-indexed ones carry a padding slot at index
 0, so entry j lives at index j.  Each is an ``array('I')``, one contiguous
 buffer of unsigned 32-bit entries; entries are at most m + 1, and a value
 out of range raises ``OverflowError`` instead of wrapping.  Compare a table
-with a list by value, through ``list(table)``.
+with a list by value, through ``list(table)``.  ``kmp`` and ``dist`` are
+allocated as zeros, in one step with no list behind them, and their scans
+write every entry after the padding, ``dist``'s inert ones below q
+included.  Only ``hq`` is prefilled, because its scan reads the prefill.
 
 :func:`build_profile` builds the ``kmp`` and ``dist`` tables below;
 :func:`hash_tables` is the one builder of ``hq`` and ``dist`` (16-bit for
@@ -37,6 +40,9 @@ from .errors import ConfigurationError, _FrozenRecord
 from .hashing import check_q, fingerprint, qgram_hashes
 from .native import engine
 
+# the one-entry seed of every table that its scan writes in full
+_ZERO = array("I", [0])
+
 
 def kmp_shift_table(pattern: bytes) -> array:
     """Shift amounts j - strong_border(j) - 1, entries 1..m+1, as an
@@ -54,7 +60,7 @@ def kmp_shift_table(pattern: bytes) -> array:
     m = len(pat)
     if m == 0:
         raise ConfigurationError("pattern must be non-empty")
-    ks = array("I", [0]) * (m + 2)
+    ks = _ZERO * (m + 2)
     if engine is not None:
         engine.kmp_table(pat, ks)
         return ks
@@ -84,11 +90,12 @@ def hash_tables(pattern: bytes, q: int, bits: int = 16) -> tuple[array, array]:
     _, mask = fingerprint(bits)
     # before the scan's temporaries: after them, CLI peak RSS rose ~0.12 MB
     hq = array("I", [m - q + 1]) * (mask + 1)
-    # entries below q are inert: never above a real gap
-    dist = array("I", [0] + [1] * m)
+    dist = _ZERO * (m + 1)
     if engine is not None:
         engine.hash_tables(pattern, q, bits, hq, dist)
         return hq, dist
+    for j in range(1, q):
+        dist[j] = 1  # inert entries: never above a real gap
     hs = qgram_hashes(pattern, q, bits)
     for j in range(q, m + 1):
         h = hs[j]
@@ -108,7 +115,11 @@ class PatternProfile(_FrozenRecord):
     """
 
     def __init__(self, pattern: bytes, q: int, kmp, dist):
-        self.__dict__.update(pattern=pattern, q=q, kmp=kmp, dist=dist)
+        fields = self.__dict__  # item writes: cheaper than update(**kwargs)
+        fields["pattern"] = pattern
+        fields["q"] = q
+        fields["kmp"] = kmp
+        fields["dist"] = dist
 
     @property
     def hq(self) -> array:
@@ -134,7 +145,6 @@ def build_profile(pattern: bytes, q: int) -> PatternProfile:
         dist = hash_tables(pat, q)[1]
     else:  # the compiled one through the engine's own table
         check_q(q, len(pat))
-        dist = array("I", [0] + [1] * len(pat))  # as in hash_tables
+        dist = _ZERO * (len(pat) + 1)
         engine.hash_tables(pat, q, 16, None, dist)
-    return PatternProfile(pattern=pat, q=q, kmp=kmp_shift_table(pat),
-                          dist=dist)
+    return PatternProfile(pat, q, kmp_shift_table(pat), dist)

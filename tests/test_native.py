@@ -6,6 +6,8 @@ fuzz (untraced against traced runs) and in
 Its tables are checked against the Python builders here.
 """
 
+import contextlib
+import mmap
 import os
 import pathlib
 import random
@@ -42,7 +44,16 @@ def test_engine_is_compiled():
         "__pycache__" / f"_engine.{crc:08x}{EXTENSION_SUFFIXES[0]}"
 
 
-def test_build_is_cached_even_without_bytecode(tmp_path, monkeypatch):
+@pytest.fixture
+def no_preload(monkeypatch):
+    """No LD_PRELOAD for the compiler that ``native.load`` starts: under
+    tests/test_sanitizers.py this process has libasan preloaded, which it
+    keeps, and the compiler ran about twice as slow under it."""
+    monkeypatch.delenv("LD_PRELOAD", raising=False)
+
+
+def test_build_is_cached_even_without_bytecode(tmp_path, monkeypatch,
+                                               no_preload):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     source = tmp_path / "_engine.c"
     shutil.copy(SOURCE, source)
@@ -55,7 +66,8 @@ def test_build_is_cached_even_without_bytecode(tmp_path, monkeypatch):
     assert again is not None and built[0].stat().st_mtime_ns == stamp
 
 
-def test_a_new_build_removes_the_builds_of_earlier_sources(tmp_path):
+def test_a_new_build_removes_the_builds_of_earlier_sources(tmp_path,
+                                                           no_preload):
     source = tmp_path / "_engine.c"
     shutil.copy(SOURCE, source)
     first, _ = native.load(str(source))
@@ -66,7 +78,7 @@ def test_a_new_build_removes_the_builds_of_earlier_sources(tmp_path):
         [pathlib.Path(second.__file__).name]
 
 
-def test_source_that_does_not_compile_gives_a_reason(tmp_path):
+def test_source_that_does_not_compile_gives_a_reason(tmp_path, no_preload):
     source = tmp_path / "_engine.c"
     source.write_text("this is not C\n")
     module, reason = native.load(str(source))
@@ -106,7 +118,7 @@ def _outcomes(text, pattern, q):
             *(run(text, pattern, q) for run, _ in MATCHERS.values())]
 
 
-def test_matchers_agree_without_the_engine(monkeypatch):
+def test_matchers_agree_without_the_engine(monkeypatch, tmp_path):
     rng = random.Random(5)
     cases = [(TEXT, PATTERN, 3), (fibonacci_string(14), b"abaab", 2),
              (bytes(300), bytes(70), 8), (b"ab", b"abc", 1)]
@@ -117,9 +129,25 @@ def test_matchers_agree_without_the_engine(monkeypatch):
         cases.append((text, bytes(rng.choices(al, k=m)),
                       rng.randint(1, min(8, m))))
     compiled = [_outcomes(*case) for case in cases]
-    monkeypatch.setattr(matchers, "engine", None)
-    monkeypatch.setattr(preprocess, "engine", None)
-    assert [_outcomes(*case) for case in cases] == compiled
+    with contextlib.ExitStack() as stack:
+        # the compiled loops read the caller's buffer, the Python ones a
+        # copy: any bytes-like text gives the outcome of its bytes
+        buffers, want = [], []
+        for i, (text, pattern, q) in enumerate(cases[:24]):
+            if not text:
+                continue  # an empty file cannot be mapped
+            (tmp_path / str(i)).write_bytes(text)
+            file = stack.enter_context(open(tmp_path / str(i), "rb"))
+            mapped = stack.enter_context(
+                mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ))
+            buffers += [(buf, pattern, q) for buf in
+                        (bytearray(text), memoryview(text), mapped)]
+            want += [compiled[i]] * 3
+        assert [_outcomes(*case) for case in buffers] == want
+        monkeypatch.setattr(matchers, "engine", None)
+        monkeypatch.setattr(preprocess, "engine", None)
+        assert [_outcomes(*case) for case in cases] == compiled
+        assert [_outcomes(*case) for case in buffers] == want
 
 
 def _tables(pattern, q):

@@ -4,7 +4,7 @@ import tracemalloc
 from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qgramsearch import MOD16, ConfigurationError, build_profile, \
     kmp_shift_table, preprocess, qgram_hash16
@@ -170,28 +170,44 @@ def test_profile_matches_standalone_tables():
     assert len(prof.pattern) == 9 and prof.q == 3
 
 
-@given(st.data())
+@st.composite
+def pattern_and_q(draw):
+    q = draw(st.integers(1, 8))
+    m = draw(st.integers(q, 80))
+    return draw(st.binary(min_size=m, max_size=m)), q
+
+
+def every_q(test):
+    """``test`` with one explicit example per q, on a pattern with repeated
+    q-grams."""
+    for q in range(1, 9):
+        test = example((EXAMPLE * 2, q), [])(test)
+    return test
+
+
+@every_q
+@given(pattern_and_q(), st.lists(st.integers(0, (1 << 16) - 1), max_size=8))
 @settings(max_examples=100, deadline=None)
-def test_profile_tables_match_oracles(data):
+def test_profile_tables_match_oracles(case, hashes):
     # all 256 byte values and patterns longer than the acceptance fuzz's 64
-    m = data.draw(st.integers(1, 80))
-    pat = data.draw(st.binary(min_size=m, max_size=m))
-    q = data.draw(st.integers(1, min(8, m)))
-    prof = build_profile(pat, q)
-    for j in range(q, m + 1):
-        h = hash16_oracle(pat[j - q:j], q)
-        assert prof.hq[h] == hq_shift_oracle(pat, q, h), (pat, q, j)
-    for c in data.draw(st.lists(st.integers(0, (1 << 16) - 1), max_size=8)):
-        assert prof.hq[c] == hq_shift_oracle(pat, q, c), (pat, q, c)
-    for j in range(1, m + 1):
-        assert prof.dist[j] == dist_oracle(pat, q, j), (pat, q, j)
+    pat, q = case
+    m = len(pat)
+    hashes = hashes + [hash16_oracle(pat[j - q:j], q)
+                       for j in range(q, m + 1)]
+    hq = [hq_shift_oracle(pat, q, h) for h in hashes]
+    # every entry from index 0: the scans, not a prefill, write those below q
+    dist = [0] + [dist_oracle(pat, q, j) for j in range(1, m + 1)]
     # the 8-bit tables of the hash-shift baseline, every entry
-    hq8, dist8 = hash_tables(pat, q, 8)
-    assert len(hq8) == 256
-    for c in range(256):
-        assert hq8[c] == hq_shift_oracle(pat, q, c, hash8_oracle), (pat, q, c)
-    for j in range(1, m + 1):
-        assert dist8[j] == dist_oracle(pat, q, j, hash8_oracle), (pat, q, j)
+    hq8 = [hq_shift_oracle(pat, q, c, hash8_oracle) for c in range(256)]
+    dist8 = [0] + [dist_oracle(pat, q, j, hash8_oracle)
+                   for j in range(1, m + 1)]
+    for engine in (preprocess.engine, None):
+        with pytest.MonkeyPatch.context() as python_engine:
+            python_engine.setattr(preprocess, "engine", engine)
+            prof = build_profile(pat, q)
+            got = ([prof.hq[h] for h in hashes], list(prof.dist),
+                   *map(list, hash_tables(pat, q, 8)))
+        assert got == (hq, dist, hq8, dist8), (pat, q, engine)
 
 
 def _profile_peak(pat):
