@@ -5,9 +5,10 @@ rolling-hash variant ``ldistq_search``), three baselines (naive, strong
 border, 8-bit hash shift), the preprocessing that feeds them, corpus
 generators and a small benchmark harness.  See the README for the CLI.
 ``ENGINE`` names the engine that untraced kmp, hashq, distq and ldistq
-searches and the table builders run on: ``"c"`` (compiled on first import)
-or ``"python"``.  The bench and corpus names are imported on first use,
-so a search loads neither module.
+searches run on: ``"c"`` (compiled on first import) or ``"python"``.  The
+shift tables of ``PatternProfile`` and ``kmp_shift_table`` are always
+built in Python; the compiled searches build their own.  The bench and
+corpus names are imported on first use, so a search loads neither module.
 """
 
 from .errors import BenchmarkError, ConfigurationError, Error, GenerationError

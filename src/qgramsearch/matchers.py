@@ -22,13 +22,15 @@ each at the point where the counted event happens.  A :class:`SearchTrace`
 is built only when the matcher is called with ``trace=True``; otherwise
 ``outcome.trace`` is ``None`` and the search holds no per-event memory.
 
-Untraced kmp, hashq, distq and ldistq searches run the compiled loops of
-``_engine.c`` (see :mod:`qgramsearch.native`), which return the same
-occurrences and counters and read the caller's text in place (any
-C-contiguous bytes-like object).  The Python loops below, which copy the
-text to ``bytes``, run every traced search and every search when no
-compiled engine could be loaded, and are the reference the compiled loops
-are tested against.
+Untraced kmp, hashq, distq and ldistq searches run the compiled searches
+of ``_engine.c`` (see :mod:`qgramsearch.native`) once the pattern and q
+are validated.  Each builds its own shift tables from the pattern, returns
+the same occurrences and counters, and reads the caller's text in place
+(any C-contiguous bytes-like object).  The Python loops below, which copy
+the text to ``bytes`` and read the tables of the
+:mod:`~qgramsearch.preprocess` builders, run every traced search and every
+search when no compiled engine could be loaded, and are the reference the
+compiled searches are tested against.
 
 A shift event is recorded (counted, and traced when asked) only when the
 pattern lands on an alignment that still fits inside the text (the trailing
@@ -41,7 +43,7 @@ alignment without moving it.
 from __future__ import annotations
 
 from .errors import ConfigurationError, _Record
-from .hashing import MOD16, _MASK8, _MASK16
+from .hashing import MOD16, _MASK8, _MASK16, check_q
 from .native import engine
 from .preprocess import PatternProfile, build_profile, hash_tables, \
     kmp_shift_table
@@ -117,9 +119,10 @@ def kmp_search(text: bytes, pattern: bytes,
                trace: bool = False) -> SearchOutcome:
     """Strong-border matcher; at most 2n character comparisons."""
     p = bytes(pattern)
-    ks = kmp_shift_table(p)  # raises ConfigurationError if p is empty
+    if not p:
+        raise ConfigurationError("pattern must be non-empty")
     if engine is not None and not trace:
-        return _compiled(engine.kmp(p, text, ks))
+        return _compiled(engine.kmp(p, text))
     t = bytes(text)
     n, m = len(t), len(p)
     log = SearchTrace() if trace else None
@@ -127,7 +130,7 @@ def kmp_search(text: bytes, pattern: bytes,
         return SearchOutcome([], SearchStats(), log)
     # read about once per text byte: CPython specialises list subscripts,
     # not array ones, and this private copy costs O(m) per call
-    ks = ks.tolist()
+    ks = kmp_shift_table(p).tolist()
     last_start = n - m + 1  # rightmost alignment that fits
     occ: list[int] = []
     cmps = kmp_n = 0
@@ -170,9 +173,10 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
     the suffix hash inside the pattern.
     """
     p = bytes(pattern)
-    table, dist = hash_tables(p, q, 8)
+    check_q(q, len(p))
     if engine is not None and not trace:
-        return _compiled(engine.hashq(p, text, q, table, dist))
+        return _compiled(engine.hashq(p, text, q))
+    table, dist = hash_tables(p, q, 8)
     t = bytes(text)
     n, m = len(t), len(p)
     # constant advance after a comparison: back to the suffix hash's last
@@ -233,15 +237,14 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
     """
     if engine is not None and not trace:
         return _compiled(engine.distq(profile.pattern, text, profile.q,
-                                      profile.dist, profile.kmp, rolling))
+                                      rolling))
     t = bytes(text)
     p = profile.pattern
     n, m = len(t), len(p)
     q = profile.q
     log = SearchTrace() if trace else None
-    hq_tab = profile.hq
-    dist_tab = profile.dist
-    ks = profile.kmp
+    hq_tab, dist_tab = hash_tables(p, q)
+    ks = kmp_shift_table(p)
     pow4 = pow(4, q - 1, MOD16)  # weight of a window's leading byte
     mq1 = m - q + 1
 

@@ -1,5 +1,5 @@
-"""The compiled engine (counting loops and table builders), built from
-``_engine.c`` on first import and cached as
+"""The compiled engine (the kmp, hashq and distq searches, each building its
+own shift tables), built from ``_engine.c`` on first import and cached as
 ``__pycache__/_engine.<crc32 of the source><ABI suffix>`` in place of any
 earlier build.  ``ENGINE`` is ``"c"``, or ``"python"`` with
 ``ENGINE_REASON`` saying why."""

@@ -1,4 +1,4 @@
-"""Pattern preprocessing: shift tables for the matchers.
+"""Pattern preprocessing: the Python builders of the shift tables.
 
 Tables are 1-based: the position-indexed ones carry a padding slot at index
 0, so entry j lives at index j.  Each is an ``array('I')``, one contiguous
@@ -9,9 +9,9 @@ allocated as zeros, in one step with no list behind them, and their scans
 write every entry after the padding, ``dist``'s inert ones below q
 included.  Only ``hq`` is prefilled, because its scan reads the prefill.
 
-:func:`build_profile` builds the ``kmp`` and ``dist`` tables below;
-:func:`hash_tables` is the one builder of ``hq`` and ``dist`` (16-bit for
-``PatternProfile.hq``, 8-bit for ``hashq_search``):
+:func:`kmp_shift_table` builds ``kmp``, and :func:`hash_tables` is the one
+builder of ``hq`` and ``dist`` (16-bit for :class:`PatternProfile`, 8-bit
+for ``hashq_search``):
 
 * ``kmp``: the strong border shifts of the prefix-based matcher;
 * ``hq``: entry c is how far the window may jump so that its suffix q-gram
@@ -22,14 +22,13 @@ included.  Only ``hq`` is prefilled, because its scan reads the prefill.
 Both come from one ascending scan of the pattern's q-gram hashes over an
 ``hq`` prefilled with m - q + 1, a value no real shift takes: an entry
 still holding it marks a hash not seen yet, so the scan needs no map of
-last positions and touches O(m) entries.  :func:`hash_tables` and
-:func:`kmp_shift_table` fill their tables in the compiled engine (see
-:mod:`qgramsearch.native`) when it is loaded; their Python bodies run the
-same scans and are the reference it is tested against.  Given no ``hq`` to
-fill, the compiled scan runs through a 16-bit table of the engine's own and
-leaves it clean, so :func:`build_profile` gets ``dist`` without any
-2^16-entry table; the compiled distq search sets and clears that table's
-O(m) entries itself.
+last positions and touches O(m) entries.
+
+These builders serve the traced and Python searches and
+:class:`PatternProfile`'s properties, and are the reference for the
+compiled engine (see :mod:`qgramsearch.native`), whose searches build the
+same tables from the pattern on every call.  So :func:`build_profile` only
+validates: a profile holds the pattern and q, and builds no table.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from array import array
 
 from .errors import ConfigurationError, _FrozenRecord
 from .hashing import check_q, fingerprint, qgram_hashes
-from .native import engine
 
 # the one-entry seed of every table that its scan writes in full
 _ZERO = array("I", [0])
@@ -52,6 +50,7 @@ def kmp_shift_table(pattern: bytes) -> array:
     (entry m+1: after a full match).  Every entry is in [1, j].  The strong
     border of j <= m is the longest border k < j - 1 of P[1:j-1] with
     P[k+1] != P[j] (-1 if none); that of m+1 is P's longest border < m.
+    One scan reads each strong border back from the shifts already filled.
 
     >>> list(kmp_shift_table(b"aa")[1:])
     [1, 2, 1]
@@ -61,9 +60,6 @@ def kmp_shift_table(pattern: bytes) -> array:
     if m == 0:
         raise ConfigurationError("pattern must be non-empty")
     ks = _ZERO * (m + 2)
-    if engine is not None:
-        engine.kmp_table(pat, ks)
-        return ks
     ks[1] = 1
     i, j = 0, -1  # 0-based scan position, strong border candidate length
     while i < m:
@@ -91,9 +87,6 @@ def hash_tables(pattern: bytes, q: int, bits: int = 16) -> tuple[array, array]:
     # before the scan's temporaries: after them, CLI peak RSS rose ~0.12 MB
     hq = array("I", [m - q + 1]) * (mask + 1)
     dist = _ZERO * (m + 1)
-    if engine is not None:
-        engine.hash_tables(pattern, q, bits, hq, dist)
-        return hq, dist
     for j in range(1, q):
         dist[j] = 1  # inert entries: never above a real gap
     hs = qgram_hashes(pattern, q, bits)
@@ -107,44 +100,39 @@ def hash_tables(pattern: bytes, q: int, bits: int = 16) -> tuple[array, array]:
 
 
 class PatternProfile(_FrozenRecord):
-    """Everything the distance-shift matchers need about one pattern.
+    """A validated pattern and its q-gram size, as the distance-shift
+    matchers take them.
 
-    ``kmp`` (entries 1..m+1) and ``dist`` (entries 1..m) are ``array('I')``
-    tables, shared, not copied; treat them as read-only.  The repr leaves
-    them out.  ``hq`` is not a field: see :attr:`hq`.
+    Its shift tables are read-only properties, built afresh on each read by
+    the Python builders; the compiled searches build their own.
     """
 
-    def __init__(self, pattern: bytes, q: int, kmp, dist):
+    def __init__(self, pattern: bytes, q: int):
         fields = self.__dict__  # item writes: cheaper than update(**kwargs)
         fields["pattern"] = pattern
         fields["q"] = q
-        fields["kmp"] = kmp
-        fields["dist"] = dist
+
+    @property
+    def kmp(self) -> array:
+        """:func:`kmp_shift_table` of the pattern, entries 1..m+1: O(m)."""
+        return kmp_shift_table(self.pattern)
+
+    @property
+    def dist(self) -> array:
+        """The 16-bit ``dist`` table, entries 1..m, by :func:`hash_tables`:
+        O(2^16 + mq)."""
+        return hash_tables(self.pattern, self.q)[1]
 
     @property
     def hq(self) -> array:
-        """The 16-bit ``hq`` table (one entry per hash), built afresh by
-        :func:`hash_tables` on each read: O(2^16 + mq).  The traced and
-        Python searches read it; the compiled search keeps its own."""
+        """The 16-bit ``hq`` table, one entry per hash, by
+        :func:`hash_tables`: O(2^16 + mq)."""
         return hash_tables(self.pattern, self.q)[0]
-
-    def __repr__(self):
-        return f"{type(self).__name__}(pattern={self.pattern!r}, q={self.q})"
 
 
 def build_profile(pattern: bytes, q: int) -> PatternProfile:
-    """Build the ``kmp`` and ``dist`` tables for ``pattern`` at q-gram size
-    ``q``.
-
-    Each comes from one scan of the pattern: with the compiled engine,
-    preprocessing is O(mq) time and O(m) memory, and no table has 2^16
-    entries (the Python scan still fills a 16-bit ``hq`` on the way).
-    """
+    """The profile of ``pattern`` at q-gram size ``q``, once
+    :func:`~qgramsearch.hashing.check_q` accepts them: O(m), no table."""
     pat = bytes(pattern)
-    if engine is None:  # the Python scan runs through a dense hq
-        dist = hash_tables(pat, q)[1]
-    else:  # the compiled one through the engine's own table
-        check_q(q, len(pat))
-        dist = _ZERO * (len(pat) + 1)
-        engine.hash_tables(pat, q, 16, None, dist)
-    return PatternProfile(pat, q, kmp_shift_table(pat), dist)
+    check_q(q, len(pat))
+    return PatternProfile(pat, q)

@@ -163,7 +163,6 @@ def test_bench_and_corpus_names_resolve_on_first_use():
 
 _STATS = "char_comparisons first_char_checks hashed_char_reads hq_shifts " \
     "dist_shifts kmp_shifts windows"
-_PROFILE = qgramsearch.build_profile(b"ab", 1)
 # (record, its fields in order, values, repr of the record with them)
 RECORDS = [
     (qgramsearch.SearchStats, _STATS, (1, 2, 3, 4, 5, 6, 7),
@@ -178,17 +177,16 @@ RECORDS = [
      "SearchOutcome(occurrences=[1], stats=SearchStats(char_comparisons=0, "
      "first_char_checks=0, hashed_char_reads=0, hq_shifts=0, dist_shifts=0, "
      "kmp_shifts=0, windows=1), trace=None)"),
-    (qgramsearch.PatternProfile, "pattern q kmp dist",
-     (b"ab", 1, _PROFILE.kmp, _PROFILE.dist),
+    (qgramsearch.PatternProfile, "pattern q", (b"ab", 1),
      "PatternProfile(pattern=b'ab', q=1)"),
     (qgramsearch.CorpusSpec, "n sigma m occ seed", (10, 4, 2, 1, 7),
      "CorpusSpec(n=10, sigma=4, m=2, occ=1, seed=7)"),
     (qgramsearch.GeneratedCorpus, "text pattern occ", (b"ab", b"a", 1),
      "GeneratedCorpus(text=b'ab', pattern=b'a', occ=1)"),
 ]
-READ_ONLY = [r for r in RECORDS if r[0] in (
-    qgramsearch.PatternProfile, qgramsearch.CorpusSpec,
-    qgramsearch.GeneratedCorpus)]
+READ_ONLY_TYPES = (qgramsearch.PatternProfile, qgramsearch.CorpusSpec,
+                   qgramsearch.GeneratedCorpus)
+READ_ONLY = [r for r in RECORDS if r[0] in READ_ONLY_TYPES]
 
 
 @pytest.mark.parametrize("record, fields, values, text", RECORDS,
@@ -202,9 +200,9 @@ def test_record_construction_equality_and_repr(record, fields, values, text):
     assert made != tuple(values)  # equal only to the same record type
     other = dict(zip(fields, values), **{fields[-1]: "other"})
     assert made != record(**other)
-    if record in (qgramsearch.CorpusSpec, qgramsearch.GeneratedCorpus):
+    if record in READ_ONLY_TYPES:
         assert hash(made) == hash(record(*values))
-    else:  # mutable, or holding tables
+    else:  # mutable
         with pytest.raises(TypeError, match="unhashable"):
             hash(made)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qgramsearch import MOD16, ConfigurationError, build_profile, \
-    kmp_shift_table, preprocess, qgram_hash16
+    kmp_shift_table, qgram_hash16
 from qgramsearch.hashing import qgram_hashes
 from qgramsearch.preprocess import hash_tables
 from oracles import dist_oracle, hash16_oracle, hash8_oracle, \
@@ -44,29 +44,25 @@ def test_kmp_shift_example_pattern():
     assert list(kmp_shift_table(EXAMPLE)[1:]) == [1, 1, 3, 2, 4, 3, 7, 6, 7, 8]
 
 
-def _assert_kmp_shifts_match_oracle(patterns, monkeypatch):
-    # entry j is j - strong_border(j) - 1, from the compiled builder (when
-    # it is loaded) and from the Python one
+def _assert_kmp_shifts_match_oracle(patterns):
+    # entry j is j - strong_border(j) - 1
     want = [[0] + [j - strong_border_oracle(pat, j) - 1
                    for j in range(1, len(pat) + 2)] for pat in patterns]
     assert [list(kmp_shift_table(pat)) for pat in patterns] == want
-    monkeypatch.setattr(preprocess, "engine", None)
-    assert [list(kmp_shift_table(pat)) for pat in patterns] == want
 
 
-def test_strong_border_exhaustive_two_letters(monkeypatch):
-    _assert_kmp_shifts_match_oracle(list(all_patterns(b"ab", 12)),
-                                    monkeypatch)
+def test_strong_border_exhaustive_two_letters():
+    _assert_kmp_shifts_match_oracle(list(all_patterns(b"ab", 12)))
 
 
-def test_strong_border_random_longer_patterns(monkeypatch):
+def test_strong_border_random_longer_patterns():
     rng = random.Random(7)
     patterns = []
     for _ in range(1000):
         sigma = rng.choice((2, 3, 26))
         m = rng.randint(13, 48)
         patterns.append(bytes(rng.choices(range(97, 97 + sigma), k=m)))
-    _assert_kmp_shifts_match_oracle(patterns, monkeypatch)
+    _assert_kmp_shifts_match_oracle(patterns)
 
 
 @given(st.binary(min_size=1, max_size=40))
@@ -166,8 +162,12 @@ def test_dist_table_matches_direct_formula(data):
 
 def test_profile_matches_standalone_tables():
     prof = build_profile(EXAMPLE, 3)
+    assert vars(prof) == {"pattern": EXAMPLE, "q": 3}  # tables built on read
     assert prof.kmp == kmp_shift_table(EXAMPLE)
-    assert len(prof.pattern) == 9 and prof.q == 3
+    assert (prof.hq, prof.dist) == hash_tables(EXAMPLE, 3)
+    again = build_profile(bytearray(EXAMPLE), 3)
+    assert again == prof and hash(again) == hash(prof)
+    assert {prof: 1}[again] == 1
 
 
 @st.composite
@@ -201,53 +201,51 @@ def test_profile_tables_match_oracles(case, hashes):
     hq8 = [hq_shift_oracle(pat, q, c, hash8_oracle) for c in range(256)]
     dist8 = [0] + [dist_oracle(pat, q, j, hash8_oracle)
                    for j in range(1, m + 1)]
-    for engine in (preprocess.engine, None):
-        with pytest.MonkeyPatch.context() as python_engine:
-            python_engine.setattr(preprocess, "engine", engine)
-            prof = build_profile(pat, q)
-            got = ([prof.hq[h] for h in hashes], list(prof.dist),
-                   *map(list, hash_tables(pat, q, 8)))
-        assert got == (hq, dist, hq8, dist8), (pat, q, engine)
+    prof = build_profile(pat, q)
+    got = ([prof.hq[h] for h in hashes], list(prof.dist),
+           *map(list, hash_tables(pat, q, 8)))
+    assert got == (hq, dist, hq8, dist8), (pat, q)
 
 
-def _profile_peak(pat):
+def _peak(build, *args):
     tracemalloc.start()
     try:
-        build_profile(pat, min(3, len(pat)))
+        build(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 @pytest.mark.parametrize("m", [1, 16, 200])
-def test_profile_allocates_one_hash_table(m, monkeypatch):
-    # the Python scan's 16-bit hq table is the one allocation the size of
-    # the hash space; the distance table needs only O(m) scratch
-    monkeypatch.setattr(preprocess, "engine", None)
-    pat = bytes(random.Random(m).choices(range(256), k=m))
-    assert _profile_peak(pat) < 1.5 * sys.getsizeof(array("I", [0]) * MOD16)
+def test_profile_allocates_one_hash_table(m):
+    # reading a profile's dist runs the Python scan: its 16-bit hq table is
+    # the one allocation the size of the hash space, and the distance table
+    # needs only O(m) scratch
+    prof = build_profile(bytes(random.Random(m).choices(range(256), k=m)),
+                         min(3, m))
+    assert _peak(lambda: prof.dist) < \
+        1.5 * sys.getsizeof(array("I", [0]) * MOD16)
 
 
 @pytest.mark.parametrize("m", [1, 16, 200])
 def test_compiled_profile_allocates_no_hash_table(m):
-    # the compiled scan runs through the engine's own table: O(m) memory
-    if preprocess.engine is None:
-        pytest.skip("the compiled engine is not loaded")
+    # a profile is the pattern and q: the compiled searches build their
+    # own tables, so building one takes O(m) memory on either engine
     pat = bytes(random.Random(m).choices(range(256), k=m))
-    assert _profile_peak(pat) < 16 * 1024
+    assert _peak(build_profile, pat, min(3, m)) < 16 * 1024
 
 
-def test_profile_hq_is_the_dense_table_on_both_engines(monkeypatch):
+def test_profile_hq_is_the_dense_table_on_both_engines():
+    # the traced and Python searches read these tables; the compiled ones
+    # build their own, compared in tests/test_native.py
     rng = random.Random(17)
     cases = [(EXAMPLE, 3), (b"a", 1), (b"abcd", 4), (b"ab" * 40_000, 8)]
     cases += [(bytes(rng.choices(b"ab", k=m)), rng.randint(1, min(m, 8)))
               for m in range(1, 30)]
-    for engine in (preprocess.engine, None):
-        monkeypatch.setattr(preprocess, "engine", engine)
-        for pat, q in cases:
-            prof = build_profile(pat, q)
-            assert "hq" not in vars(prof)  # built on each read
-            assert prof.hq == hash_tables(pat, q)[0], (pat[:20], q)
+    for pat, q in cases:
+        prof = build_profile(pat, q)
+        assert "hq" not in vars(prof)  # built on each read
+        assert prof.hq == hash_tables(pat, q)[0], (pat[:20], q)
 
 
 @pytest.mark.parametrize("pat,q", [(b"abc", 4), (b"abc", 0), (b"abc", 9),
@@ -257,12 +255,10 @@ def test_profile_rejects_bad_q(pat, q):
         build_profile(pat, q)
 
 
-def test_bits_other_than_8_or_16_rejected_on_both_engines(monkeypatch):
-    for engine in (preprocess.engine, None):
-        monkeypatch.setattr(preprocess, "engine", engine)
-        for bits in (0, 3, 12, 32):
-            with pytest.raises(ConfigurationError, match="bits must be 8 or"):
-                hash_tables(b"abcab", 2, bits)
+def test_bits_other_than_8_or_16_rejected_on_both_engines():
+    for bits in (0, 3, 12, 32):
+        with pytest.raises(ConfigurationError, match="bits must be 8 or"):
+            hash_tables(b"abcab", 2, bits)
     with pytest.raises(ConfigurationError, match="bits must be 8 or"):
         qgram_hashes(b"abcab", 2, 3)
 
