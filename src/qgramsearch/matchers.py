@@ -26,9 +26,11 @@ Untraced kmp, hashq, distq and ldistq searches run the compiled searches
 of ``_engine.c`` (see :mod:`qgramsearch.native`) once the pattern and q
 are validated.  Each builds its own shift tables from the pattern, returns
 the same occurrences and counters, and reads the caller's text in place
-(any C-contiguous bytes-like object).  The Python loops below, which copy
-the text to ``bytes`` and read the tables of the
-:mod:`~qgramsearch.preprocess` builders, run every traced search and every
+(any C-contiguous bytes-like object).  The Python loops below copy the text
+to ``bytes`` and read the tables of the :mod:`~qgramsearch.preprocess`
+builders: ``kmp`` and ``dist`` lists, and an ``hq`` dict of the pattern's
+q-gram hashes, read with the default shift m - q + 1, so a search takes
+O(m) memory beyond its occurrences.  They run every traced search and every
 search when no compiled engine could be loaded, and are the reference the
 compiled searches are tested against.
 
@@ -128,9 +130,7 @@ def kmp_search(text: bytes, pattern: bytes,
     log = SearchTrace() if trace else None
     if n < m:
         return SearchOutcome([], SearchStats(), log)
-    # read about once per text byte: CPython specialises list subscripts,
-    # not array ones, and this private copy costs O(m) per call
-    ks = kmp_shift_table(p).tolist()
+    ks = kmp_shift_table(p)
     last_start = n - m + 1  # rightmost alignment that fits
     occ: list[int] = []
     cmps = kmp_n = 0
@@ -177,8 +177,10 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
     if engine is not None and not trace:
         return _compiled(engine.hashq(p, text, q))
     table, dist = hash_tables(p, q, 8)
+    shift = table.get
     t = bytes(text)
     n, m = len(t), len(p)
+    mq1 = m - q + 1  # the shift of a hash no pattern q-gram has
     # constant advance after a comparison: back to the suffix hash's last
     # earlier occurrence in the pattern
     adv = dist[m]
@@ -197,7 +199,7 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
         reads += q
         if trace:
             log.hash_ends.append(k)
-        sh = table[h]
+        sh = shift(h, mq1)
         k += sh
         if k > n:
             break
@@ -244,9 +246,10 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
     q = profile.q
     log = SearchTrace() if trace else None
     hq_tab, dist_tab = hash_tables(p, q)
+    shift = hq_tab.get
     ks = kmp_shift_table(p)
     pow4 = pow(4, q - 1, MOD16)  # weight of a window's leading byte
-    mq1 = m - q + 1
+    mq1 = m - q + 1  # the shift of a hash no pattern q-gram has
 
     occ: list[int] = []
     cmps = fchecks = reads = hq_n = dist_n = kmp_n = 0
@@ -284,7 +287,7 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
                 last_h = h
                 if trace:
                     log.hash_ends.append(e)
-                sh = hq_tab[h]
+                sh = shift(h, mq1)
                 k += sh
                 if k > n:
                     break

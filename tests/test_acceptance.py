@@ -22,6 +22,7 @@ from qgramsearch import (BenchSpec, CorpusSpec, EmbedSource, alphabet_bytes,
                          naive_search, qgram_hash16,
                          random_text_with_occurrences, run_benchmark)
 from qgramsearch.hashing import qgram_hashes
+from qgramsearch.preprocess import hash_tables
 
 PATTERN = b"abaabbaaa"
 TEXT = b"abbaabbaababbabbaaabaabaabbaaa"
@@ -118,15 +119,11 @@ def fuzz():
 
 def test_criterion_01_golden_tables():
     with criterion(1, "golden preprocessing tables exact", limit_s=1.0):
-        dist = build_profile(PATTERN, 3).dist
-        assert list(dist[3:]) == [1, 2, 3, 4, 5, 4, 7]
-        assert list(kmp_shift_table(PATTERN)[1:]) == \
-            [1, 1, 3, 2, 4, 3, 7, 6, 7, 8]
-        hq = build_profile(PATTERN, 3).hq
-        pinned = {2041: 6, 2053: 1, 2038: 4, 2042: 3, 2057: 2, 2037: 0}
-        for h, shift in pinned.items():
-            assert hq[h] == shift, (h, hq[h], shift)
-        assert all(hq[h] == 7 for h in range(65536) if h not in pinned)
+        hq, dist = hash_tables(PATTERN, 3)
+        assert dist[3:] == [1, 2, 3, 4, 5, 4, 7]
+        assert kmp_shift_table(PATTERN)[1:] == [1, 1, 3, 2, 4, 3, 7, 6, 7, 8]
+        # every other hash reads the default shift m - q + 1 = 7
+        assert hq == {2041: 6, 2053: 1, 2038: 4, 2042: 3, 2057: 2, 2037: 0}
 
 
 def test_criterion_02_golden_trace():

@@ -1,14 +1,14 @@
 import random
 import tracemalloc
-from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgramsearch import ConfigurationError, SearchStats, build_profile, \
-    distq_search, fibonacci_string, hashq_search, kmp_search, \
-    kmp_shift_table, ldistq_search, naive_search
+from qgramsearch import ConfigurationError, PatternProfile, SearchStats, \
+    build_profile, distq_search, fibonacci_string, hashq_search, \
+    kmp_search, kmp_shift_table, ldistq_search, naive_search
 from qgramsearch.hashing import qgram_hashes
+from qgramsearch.preprocess import hash_tables
 from oracles import dist_oracle, hash8_oracle, occurrences_oracle
 
 PATTERN = b"abaabbaaa"
@@ -65,6 +65,7 @@ def test_empty_pattern_rejected_everywhere():
                  lambda: kmp_search(b"abc", b""),
                  lambda: hashq_search(b"abc", b"", 1),
                  lambda: build_profile(b"", 1),
+                 lambda: PatternProfile(b"", 1),
                  lambda: kmp_shift_table(b""),
                  lambda: qgram_hashes(b"", 1)):
         with pytest.raises(ConfigurationError):
@@ -299,9 +300,9 @@ def test_pattern_longer_than_16_bit_shifts():
         assert expected
         for q in (3, 8):
             prof = build_profile(pattern, q)
-            for table in (prof.kmp, prof.hq, prof.dist):
-                assert isinstance(table, array) and table.typecode == "I"
-            assert max(prof.kmp) > 65_535 and max(prof.hq) > 65_535
+            hq, _ = hash_tables(pattern, q)
+            assert max(kmp_shift_table(pattern)) > 65_535
+            assert max(hq.get(h, m - q + 1) for h in range(1 << 16)) > 65_535
             assert hashq_search(text, pattern, q).occurrences == expected
             assert distq_search(text, prof).occurrences == expected
             assert ldistq_search(text, prof).occurrences == expected

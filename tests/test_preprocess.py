@@ -1,13 +1,11 @@
 import random
-import sys
 import tracemalloc
-from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qgramsearch import MOD16, ConfigurationError, build_profile, \
-    kmp_shift_table, qgram_hash16
+from qgramsearch import ConfigurationError, PatternProfile, build_profile, \
+    distq_search, kmp_shift_table, qgram_hash16
 from qgramsearch.hashing import qgram_hashes
 from qgramsearch.preprocess import hash_tables
 from oracles import dist_oracle, hash16_oracle, hash8_oracle, \
@@ -36,19 +34,19 @@ def test_strong_border_small_patterns():
 
 
 def test_kmp_shift_small_patterns():
-    assert list(kmp_shift_table(b"a")[1:]) == [1, 1]
-    assert list(kmp_shift_table(b"aa")[1:]) == [1, 2, 1]
+    assert kmp_shift_table(b"a") == [0, 1, 1]
+    assert kmp_shift_table(b"aa") == [0, 1, 2, 1]
 
 
 def test_kmp_shift_example_pattern():
-    assert list(kmp_shift_table(EXAMPLE)[1:]) == [1, 1, 3, 2, 4, 3, 7, 6, 7, 8]
+    assert kmp_shift_table(EXAMPLE)[1:] == [1, 1, 3, 2, 4, 3, 7, 6, 7, 8]
 
 
 def _assert_kmp_shifts_match_oracle(patterns):
     # entry j is j - strong_border(j) - 1
     want = [[0] + [j - strong_border_oracle(pat, j) - 1
                    for j in range(1, len(pat) + 2)] for pat in patterns]
-    assert [list(kmp_shift_table(pat)) for pat in patterns] == want
+    assert [kmp_shift_table(pat) for pat in patterns] == want
 
 
 def test_strong_border_exhaustive_two_letters():
@@ -78,29 +76,24 @@ def test_kmp_shift_bounds_and_self_overlap(pat):
         assert pat[:max(0, j - k - 1)] == pat[k:j - 1], (pat, j)
 
 
-# --- hash shift table ---
+# --- hash shift table: a map read as hq.get(h, m - q + 1) ---
 
 def test_hq_table_example_pattern():
-    table = build_profile(EXAMPLE, 3).hq
+    table, _ = hash_tables(EXAMPLE, 3)
     expected = {2041: 6, 2053: 1, 2038: 4, 2042: 3, 2057: 2, 2037: 0}
-    for h, want in expected.items():
-        assert table[h] == want
-    assert all(table[h] == 7 for h in range(1 << 16) if h not in expected)
+    assert table == expected  # every other hash reads the default 7
 
 
 def test_hq_table_uniform_pattern():
-    table = build_profile(b"aaa", 3).hq
+    table, _ = hash_tables(b"aaa", 3)
     h = qgram_hash16(b"aaa", 3)
-    assert table[h] == 0
-    assert all(table[c] == 1 for c in range(1 << 16) if c != h)
+    assert table == {h: 0}  # every other hash reads the default 1
 
 
 def test_hq_table_two_gram_pattern():
-    table = build_profile(b"abab", 2).hq
-    assert table[qgram_hash16(b"ab", 2)] == 0  # rightmost "ab" ends at 4
-    assert table[qgram_hash16(b"ba", 2)] == 1  # rightmost "ba" ends at 3
-    others = set(range(1 << 16)) - {qgram_hash16(b"ab", 2), qgram_hash16(b"ba", 2)}
-    assert all(table[c] == 3 for c in others)
+    table, _ = hash_tables(b"abab", 2)
+    assert table == {qgram_hash16(b"ab", 2): 0,  # rightmost "ab" ends at 4
+                     qgram_hash16(b"ba", 2): 1}  # rightmost "ba" ends at 3
 
 
 def test_hq_table_full_direct_evaluation():
@@ -109,7 +102,7 @@ def test_hq_table_full_direct_evaluation():
         m = rng.randint(4, 18)
         pat = bytes(rng.choices(b"abc", k=m))
         q = rng.randint(1, min(8, m))
-        table = build_profile(pat, q).hq
+        table, _ = hash_tables(pat, q)
         # big-int oracle hash of every pattern q-gram, computed once
         gram = [(j, hash16_oracle(pat[j - q:j], q)) for j in range(q, m + 1)]
         for c in range(1 << 16):
@@ -117,7 +110,7 @@ def test_hq_table_full_direct_evaluation():
             for j, h in gram:
                 if h == c:
                     best = j
-            assert table[c] == m - best, (pat, q, c)
+            assert table.get(c, m - q + 1) == m - best, (pat, q, c)
 
 
 @given(st.data())
@@ -125,26 +118,25 @@ def test_hq_table_full_direct_evaluation():
 def test_hq_table_spot_checks(data):
     pat = data.draw(st.binary(min_size=1, max_size=32))
     q = data.draw(st.integers(1, min(8, len(pat))))
-    table = build_profile(pat, q).hq
+    table, _ = hash_tables(pat, q)
     m = len(pat)
     for j in range(q, m + 1):
         h = qgram_hash16(pat[j - q:j], q)
         assert table[h] == hq_shift_oracle(pat, q, h)
         assert table[h] <= m - j  # at most the distance of this q-gram
     for c in data.draw(st.lists(st.integers(0, (1 << 16) - 1), max_size=8)):
-        assert table[c] == hq_shift_oracle(pat, q, c)
+        assert table.get(c, m - q + 1) == hq_shift_oracle(pat, q, c)
 
 
 # --- distance table ---
 
 def test_dist_table_example_pattern():
-    assert list(build_profile(EXAMPLE, 3).dist[1:]) == \
-        [1, 1, 1, 2, 3, 4, 5, 4, 7]
+    assert hash_tables(EXAMPLE, 3)[1] == [0, 1, 1, 1, 2, 3, 4, 5, 4, 7]
 
 
 def test_dist_table_small_patterns():
-    assert list(build_profile(b"aaaa", 3).dist[1:]) == [1, 1, 1, 1]
-    assert list(build_profile(b"abcabc", 3).dist[3:]) == [1, 2, 3, 3]
+    assert hash_tables(b"aaaa", 3)[1] == [0, 1, 1, 1, 1]
+    assert hash_tables(b"abcabc", 3)[1][3:] == [1, 2, 3, 3]
 
 
 @given(st.data())
@@ -152,7 +144,7 @@ def test_dist_table_small_patterns():
 def test_dist_table_matches_direct_formula(data):
     pat = data.draw(st.binary(min_size=1, max_size=40))
     q = data.draw(st.integers(1, min(8, len(pat))))
-    dist = build_profile(pat, q).dist
+    _, dist = hash_tables(pat, q)
     for j in range(1, len(pat) + 1):
         assert dist[j] == dist_oracle(pat, q, j), (pat, q, j)
         assert 1 <= dist[j] <= max(1, j - q + 1)
@@ -160,12 +152,11 @@ def test_dist_table_matches_direct_formula(data):
 
 # --- profile ---
 
-def test_profile_matches_standalone_tables():
+def test_profile_is_its_validated_pattern_and_q():
     prof = build_profile(EXAMPLE, 3)
-    assert vars(prof) == {"pattern": EXAMPLE, "q": 3}  # tables built on read
-    assert prof.kmp == kmp_shift_table(EXAMPLE)
-    assert (prof.hq, prof.dist) == hash_tables(EXAMPLE, 3)
-    again = build_profile(bytearray(EXAMPLE), 3)
+    assert vars(prof) == {"pattern": EXAMPLE, "q": 3}  # and no table
+    again = PatternProfile(bytearray(EXAMPLE), 3)
+    assert type(again.pattern) is bytes
     assert again == prof and hash(again) == hash(prof)
     assert {prof: 1}[again] == 1
 
@@ -201,9 +192,10 @@ def test_profile_tables_match_oracles(case, hashes):
     hq8 = [hq_shift_oracle(pat, q, c, hash8_oracle) for c in range(256)]
     dist8 = [0] + [dist_oracle(pat, q, j, hash8_oracle)
                    for j in range(1, m + 1)]
-    prof = build_profile(pat, q)
-    got = ([prof.hq[h] for h in hashes], list(prof.dist),
-           *map(list, hash_tables(pat, q, 8)))
+    table, got_dist = hash_tables(pat, q)
+    table8, got_dist8 = hash_tables(pat, q, 8)
+    got = ([table.get(h, m - q + 1) for h in hashes], got_dist,
+           [table8.get(c, m - q + 1) for c in range(256)], got_dist8)
     assert got == (hq, dist, hq8, dist8), (pat, q)
 
 
@@ -218,13 +210,14 @@ def _peak(build, *args):
 
 @pytest.mark.parametrize("m", [1, 16, 200])
 def test_profile_allocates_one_hash_table(m):
-    # reading a profile's dist runs the Python scan: its 16-bit hq table is
-    # the one allocation the size of the hash space, and the distance table
-    # needs only O(m) scratch
-    prof = build_profile(bytes(random.Random(m).choices(range(256), k=m)),
-                         min(3, m))
-    assert _peak(lambda: prof.dist) < \
-        1.5 * sys.getsizeof(array("I", [0]) * MOD16)
+    # the Python scan's one hash table is the hq map of at most m - q + 1
+    # pattern hashes, so it takes O(m) memory with either fingerprint: 16 KB,
+    # or 512 B per pattern byte when that is more (a dense 16-bit table
+    # alone took 256 KB)
+    pat = bytes(random.Random(m).choices(range(256), k=m))
+    for bits in (16, 8):
+        assert _peak(hash_tables, pat, min(3, m), bits) < \
+            1024 * max(16, m // 2), bits
 
 
 @pytest.mark.parametrize("m", [1, 16, 200])
@@ -235,24 +228,30 @@ def test_compiled_profile_allocates_no_hash_table(m):
     assert _peak(build_profile, pat, min(3, m)) < 16 * 1024
 
 
-def test_profile_hq_is_the_dense_table_on_both_engines():
-    # the traced and Python searches read these tables; the compiled ones
-    # build their own, compared in tests/test_native.py
+def test_hq_map_holds_one_entry_per_pattern_hash():
+    # the traced and Python searches read this map; the compiled ones build
+    # a dense table of their own, compared in tests/test_native.py
     rng = random.Random(17)
     cases = [(EXAMPLE, 3), (b"a", 1), (b"abcd", 4), (b"ab" * 40_000, 8)]
     cases += [(bytes(rng.choices(b"ab", k=m)), rng.randint(1, min(m, 8)))
               for m in range(1, 30)]
     for pat, q in cases:
-        prof = build_profile(pat, q)
-        assert "hq" not in vars(prof)  # built on each read
-        assert prof.hq == hash_tables(pat, q)[0], (pat[:20], q)
+        table, _ = hash_tables(pat, q)
+        m = len(pat)
+        assert set(table) == set(qgram_hashes(pat, q)[q:]), (pat[:20], q)
+        # a real shift m - j is below the default m - q + 1
+        assert all(0 <= s <= m - q for s in table.values()), (pat[:20], q)
 
 
 @pytest.mark.parametrize("pat,q", [(b"abc", 4), (b"abc", 0), (b"abc", 9),
-                                   (b"", 1), (b"x" * 20, 9)])
+                                   (b"", 1), (b"x" * 20, 9), (b"ab", 9)])
 def test_profile_rejects_bad_q(pat, q):
-    with pytest.raises(ConfigurationError):
-        build_profile(pat, q)
+    # a profile validates itself, so a hand-built one cannot reach a search
+    for make in (build_profile, PatternProfile,
+                 lambda pat, q: distq_search(b"abcabc",
+                                             PatternProfile(pat, q))):
+        with pytest.raises(ConfigurationError):
+            make(pat, q)
 
 
 def test_bits_other_than_8_or_16_rejected_on_both_engines():
@@ -264,6 +263,6 @@ def test_bits_other_than_8_or_16_rejected_on_both_engines():
 
 
 def test_q_equal_to_m_allowed():
-    prof = build_profile(b"abcd", 4)
-    assert prof.hq[qgram_hash16(b"abcd", 4)] == 0
-    assert prof.dist[4] == 1
+    assert build_profile(b"abcd", 4) == PatternProfile(b"abcd", 4)
+    assert hash_tables(b"abcd", 4) == ({qgram_hash16(b"abcd", 4): 0},
+                                       [0, 1, 1, 1, 1])
