@@ -6,10 +6,17 @@
  * from Python: a search takes the pattern and the text (both read through
  * the buffer protocol), and q and rolling where it needs them.  Unsigned
  * 32-bit hashes masked to 16 or 8 bits equal the Python polynomials mod
- * 2^16 or 2^8. */
+ * 2^16 or 2^8.  Two things differ from the Python loops in form only:
+ * hashq and distq verify a window 8 bytes at a time (agree), while
+ * char_comparisons still counts byte tests, the bytes matched plus the
+ * failing one; and the searches store positions in a block on the C
+ * stack, which becomes ints outside the loops (add, flush).  The word
+ * compare is written for little-endian and picks clz on a big-endian
+ * build at compile time; only little-endian was tested. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef long long i64;
 
@@ -40,8 +47,27 @@ static void clear(const unsigned char *P, Py_ssize_t m, int q);
 #define LOOPS_PLACED \
     __attribute__((optimize("align-loops=64", "align-jumps=64")))
 
-/* The pattern and the text of one call, and the tables it built. */
-typedef struct { Py_buffer p, t; uint32_t *tab; } Args;
+/* The tables one call built, its occurrences (the list `occ`, then the
+ * `n` 1-based positions in `block` not yet appended to it), and its
+ * pattern and text.  `block` lives on the C stack and is never zeroed
+ * (`Args a = {0}` would clear it on every call): init() sets tab, occ
+ * and n.  Those come first, at short stack offsets: after the buffers
+ * they lengthened kmp's set-up enough to move its loop 32 bytes, and kmp
+ * ran 8-14 % slower on Fibonacci text.  `block` is small because every
+ * call pays for its stack: with 512 entries (4 KB) perfbench's
+ * short-queries read about 2 % slower on every matcher, with 64 at par. */
+#define BLOCK 64
+typedef struct {
+    uint32_t *tab;
+    PyObject *occ;
+    Py_ssize_t n;
+    Py_buffer p, t;
+    Py_ssize_t block[BLOCK];
+} Args;
+
+static void init(Args *a) {
+    a->tab = NULL, a->occ = NULL, a->n = 0;
+}
 
 /* 0, with a ValueError set. */
 static int fail(const char *msg) {
@@ -59,33 +85,76 @@ static int fits(Py_ssize_t m) {
     return m < UINT32_MAX || fail("m + 1 must fit in 32 bits");
 }
 
-/* Append 1-based position `pos` to `occ`; 0 on failure. */
-static int add(PyObject *occ, Py_ssize_t pos) {
-    PyObject *v = PyLong_FromSsize_t(pos);
-    int rc = v != NULL && PyList_Append(occ, v) == 0;
-    Py_XDECREF(v);
-    return rc;
+/* Append the block's positions to `occ` as ints and empty the block; 0 on
+ * failure.  Kept out of the search loops.  It creates only ints and grows
+ * `occ`, which start no garbage collection, so distq may call it while
+ * HQ holds its pattern's entries; a new list per block would not do, as
+ * PyList_New may start one. */
+__attribute__((noinline)) static int flush(Args *a) {
+    for (Py_ssize_t x = 0; x < a->n; x++) {
+        PyObject *v = PyLong_FromSsize_t(a->block[x]);
+        int rc = v != NULL && PyList_Append(a->occ, v) == 0;
+        Py_XDECREF(v);
+        if (!rc)
+            return 0;
+    }
+    a->n = 0;
+    return 1;
 }
 
-/* Free the tables and release the buffers of `a`; the result tuple, or
- * NULL unless `ok`. */
-static PyObject *result(Args *a, int ok, PyObject *occ, i64 cmps,
-                        i64 fchecks, i64 reads, i64 hq_n, i64 dist_n,
-                        i64 kmp_n, i64 windows) {
+/* Record 1-based position `pos`; 0 on failure. */
+static inline int add(Args *a, Py_ssize_t pos) {
+    a->block[a->n++] = pos;
+    return a->n < BLOCK || flush(a);
+}
+
+/* The first index x in [k, m) with P[x] != W[x], or m, where P[0..k) and
+ * W[0..k) are known to agree.  It compares 8 bytes per unaligned load and
+ * finds the first differing byte of a word from its lowest set XOR bit
+ * (its highest on a big-endian build); a tail of under 8 bytes is one
+ * word ending at m, which may overlap bytes already known to agree, and
+ * under 8 bytes in all is the byte loop. */
+static inline Py_ssize_t agree(const unsigned char *P, const unsigned char *W,
+                               Py_ssize_t k, Py_ssize_t m) {
+    uint64_t x, y;
+#if PY_BIG_ENDIAN
+#define FIRST(v) (__builtin_clzll(v) >> 3)
+#else
+#define FIRST(v) (__builtin_ctzll(v) >> 3)
+#endif
+    for (; k + 8 <= m; k += 8) {
+        memcpy(&x, P + k, 8), memcpy(&y, W + k, 8);
+        if (x != y)
+            return k + FIRST(x ^ y);
+    }
+    if (k < m && m >= 8) {
+        memcpy(&x, P + m - 8, 8), memcpy(&y, W + m - 8, 8);
+        return x == y ? m : m - 8 + FIRST(x ^ y);
+    }
+    while (k < m && P[k] == W[k])
+        k++;
+    return k;
+#undef FIRST
+}
+
+/* Free the tables and release the buffers of `a`, then append the rest
+ * of its block; the result tuple, or NULL unless `ok`. */
+static PyObject *result(Args *a, int ok, i64 cmps, i64 fchecks, i64 reads,
+                        i64 hq_n, i64 dist_n, i64 kmp_n, i64 windows) {
     PyMem_RawFree(a->tab);
     PyBuffer_Release(&a->p);
     PyBuffer_Release(&a->t);
-    if (!ok) {
-        Py_XDECREF(occ);
+    if (!ok || !flush(a)) {
+        Py_XDECREF(a->occ);
         return NULL;
     }
-    return Py_BuildValue("(NLLLLLLL)", occ, cmps, fchecks, reads, hq_n,
+    return Py_BuildValue("(NLLLLLLL)", a->occ, cmps, fchecks, reads, hq_n,
                          dist_n, kmp_n, windows);
 }
 
 PLACED static PyObject *kmp(PyObject *self, PyObject *args) {
-    Args a = {0};
-    PyObject *occ = NULL;
+    Args a;
+    init(&a);
     const uint32_t *ks;
     if (!PyArg_ParseTuple(args, "y*y*", &a.p, &a.t))
         return NULL;
@@ -94,9 +163,9 @@ PLACED static PyObject *kmp(PyObject *self, PyObject *args) {
     i64 cmps = 0, kmp_n = 0;
     int ok = (m > 0 || fail("pattern must be non-empty"))
         && (ks = a.tab = kmp_fill(P, m, 0)) != NULL
-        && (occ = PyList_New(0)) != NULL;
+        && (a.occ = PyList_New(0)) != NULL;
     if (!ok || n < m)
-        return result(&a, ok, occ, 0, 0, 0, 0, 0, 0, 0);
+        return result(&a, ok, 0, 0, 0, 0, 0, 0, 0);
     Py_ssize_t last_start = n - m + 1;  /* rightmost alignment that fits */
     while (ok) {
         if (j == 0) {  /* resume at the next text byte */
@@ -108,19 +177,19 @@ PLACED static PyObject *kmp(PyObject *self, PyObject *args) {
             i++, j++;
             if (j <= m)
                 continue;
-            ok = add(occ, i - m);
+            ok = add(&a, i - m);
         }
         j -= ks[j];
         if (i - j + 1 > last_start)
             break;
         kmp_n++;
     }
-    return result(&a, ok, occ, cmps, 0, 0, 0, 0, kmp_n, 1 + kmp_n);
+    return result(&a, ok, cmps, 0, 0, 0, 0, kmp_n, 1 + kmp_n);
 }
 
 LOOPS_PLACED static PyObject *hashq(PyObject *self, PyObject *args) {
-    Args a = {0};
-    PyObject *occ = NULL;
+    Args a;
+    init(&a);
     uint32_t hq[256];
     int q;
     if (!PyArg_ParseTuple(args, "y*y*i", &a.p, &a.t, &q))
@@ -128,7 +197,7 @@ LOOPS_PLACED static PyObject *hashq(PyObject *self, PyObject *args) {
     const unsigned char *P = a.p.buf, *T = a.t.buf;
     Py_ssize_t n = a.t.len, m = a.p.len, k = m, s, j, adv = 0;
     i64 cmps = 0, reads = 0, hq_n = 0, dist_n = 0, windows = n >= m;
-    int ok = q_ok(q, m) && fits(m) && (occ = PyList_New(0)) != NULL;
+    int ok = q_ok(q, m) && fits(m) && (a.occ = PyList_New(0)) != NULL;
     if (ok) {
         /* hash_tables(P, q, 8): the scan reads dist[m], the constant
          * advance after a comparison, as hq's entry for P's last q-gram
@@ -155,22 +224,22 @@ LOOPS_PLACED static PyObject *hashq(PyObject *self, PyObject *args) {
             continue;
         }
         Py_ssize_t start = k - m;  /* 0-based window start */
-        for (j = 0; j < m && P[j] == T[start + j]; j++)
-            cmps++;
+        j = agree(P, T + start, 0, m);
+        cmps += j;
         if (j < m)
             cmps++;  /* the failing test */
         else
-            ok = add(occ, start + 1);
+            ok = add(&a, start + 1);
         k += adv;  /* constant advance after a comparison */
         if (k <= n)
             dist_n++, windows++;
     }
-    return result(&a, ok, occ, cmps, 0, reads, hq_n, dist_n, 0, windows);
+    return result(&a, ok, cmps, 0, reads, hq_n, dist_n, 0, windows);
 }
 
 LOOPS_PLACED static PyObject *distq(PyObject *self, PyObject *args) {
-    Args a = {0};
-    PyObject *occ = NULL;
+    Args a;
+    init(&a);
     uint32_t *ks, *dist = NULL;
     int q, rolling;
     if (!PyArg_ParseTuple(args, "y*y*ip", &a.p, &a.t, &q, &rolling))
@@ -181,7 +250,7 @@ LOOPS_PLACED static PyObject *distq(PyObject *self, PyObject *args) {
     i64 windows = n >= m;  /* the first alignment, if it fits */
     int ok = q_ok(q, m)
         && (ks = a.tab = kmp_fill(P, m, m + 1)) != NULL
-        && (occ = PyList_New(0)) != NULL;
+        && (a.occ = PyList_New(0)) != NULL;
     int marked = ok;  /* HQ holds this pattern's entries until clear() */
     if (marked)
         scan(P, m, q, dist = ks + m + 2);
@@ -227,12 +296,12 @@ LOOPS_PLACED static PyObject *distq(PyObject *self, PyObject *args) {
             j = 1, i = k - m + 1;
         }
         /* comparison or border phase, then a dist-or-kmp or kmp shift */
-        while (j <= m && P[j - 1] == T[i - 1])
-            cmps++, i++, j++;
+        d = agree(P, T + (i - j), j - 1, m) - (j - 1);
+        cmps += d, i += d, j += d;
         if (j <= m)
             cmps++;  /* the failing test */
         else
-            ok = add(occ, i - m);
+            ok = add(&a, i - m);
         Py_ssize_t amt = ks[j];
         int is_dist = 0;
         if (hashed && (d = dist[pos]) >= j - 1 && d >= amt)
@@ -249,7 +318,7 @@ LOOPS_PLACED static PyObject *distq(PyObject *self, PyObject *args) {
     }
     if (marked)
         clear(P, m, q);
-    return result(&a, ok, occ, cmps - fchecks, fchecks, reads, hq_n, dist_n,
+    return result(&a, ok, cmps - fchecks, fchecks, reads, hq_n, dist_n,
                   kmp_n, windows);
 }
 

@@ -48,12 +48,14 @@ def run_search_command(text: bytes, pattern: bytes, algorithm: str, q: int,
         print(f"warning: q={q} clamped to {q_eff} (pattern length {m}, "
               f"max {MAX_Q})", file=err)
     occurrences = run(text, pattern, q_eff).occurrences
-    base = 1 if not zero_based else 0
     try:
-        # blocks of at most _BLOCK lines: one write each, bounded memory
+        # blocks of at most _BLOCK lines: one format and one write each,
+        # bounded memory
         for start in range(0, len(occurrences), _BLOCK):
-            out.write("".join(f"{pos - 1 + base}\n"
-                              for pos in occurrences[start:start + _BLOCK]))
+            block = occurrences[start:start + _BLOCK]
+            if zero_based:
+                block = [pos - 1 for pos in block]
+            out.write("%d\n" * len(block) % tuple(block))
         out.flush()
     except BrokenPipeError:
         # e.g. ``| head -1``; point the descriptor at devnull so the flush

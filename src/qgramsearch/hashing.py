@@ -33,10 +33,12 @@ _MASK8 = MOD8 - 1
 
 def check_q(q: int, m: int | None = None) -> None:
     """Raise :class:`ConfigurationError` unless the pattern length ``m`` is
-    positive and 1 <= q <= min(m, MAX_Q), checked in that order; without
-    ``m`` (a lone window) only 1 <= q <= MAX_Q is checked."""
+    positive, q is an int and 1 <= q <= min(m, MAX_Q), checked in that
+    order; without ``m`` (a lone window) only the q checks are made."""
     if m == 0:
         raise ConfigurationError("pattern must be non-empty")
+    if not isinstance(q, int):
+        raise ConfigurationError(f"q must be an int, got {q!r}")
     if not 1 <= q <= MAX_Q:
         raise ConfigurationError(f"q must be in [1, {MAX_Q}], got {q}")
     if m is not None and q > m:
@@ -97,6 +99,7 @@ def qgram_hashes(seq: bytes, q: int, bits: int = 16) -> list[int]:
     >>> qgram_hashes(b"abaa", 3)[3:]   # "aba", then rolled to "baa"
     [2041, 2053]
     """
+    check_q(q)  # before q slices seq
     base, mask = fingerprint(bits)
     h = _hash_window(seq[:q], q, bits)
     weight = pow(base, q - 1, mask + 1)

@@ -33,12 +33,13 @@ def test_window_length_mismatch_rejected():
         qgram_hash8(b"abcd", 3)
 
 
-@pytest.mark.parametrize("q", [0, 9, -1])
+@pytest.mark.parametrize("q", [0, 9, -1, 1.5, "x", None])
 def test_q_out_of_range_rejected(q):
-    with pytest.raises(ConfigurationError):
+    # q is checked before the window's length
+    with pytest.raises(ConfigurationError, match="q must be"):
         qgram_hashes(b"x" * 10, q)
-    with pytest.raises(ConfigurationError):
-        qgram_hash16(b"x" * max(q, 1), q)
+    with pytest.raises(ConfigurationError, match="q must be"):
+        qgram_hash16(b"xxx", q)
 
 
 @given(st.integers(1, 8), st.data())

@@ -191,6 +191,27 @@ def test_builders_agree_without_the_engine():
             (p[:20], len(p), q)
 
 
+@pytest.mark.parametrize("m", [7, 8, 9, 15, 16, 17, 31, 32, 33])
+def test_searches_read_only_the_slices_they_are_given(m):
+    # The compiled searches compare 8 bytes at a time.  Here pattern and
+    # text are slices of larger buffers: the text slice starts and ends
+    # with an occurrence and sits between two more copies of the pattern,
+    # and the pattern slice sits between its complement, so any byte read
+    # outside either slice adds an occurrence or breaks one.
+    rng = random.Random(m)
+    p = bytes(rng.choices(b"ab", k=m))
+    other = p.translate(bytes.maketrans(b"ab", b"ba"))
+    t = p + bytes(rng.choices(b"ab", k=2 * m + 5)) + p
+    pattern = memoryview(other + p + other)[m:2 * m]
+    text = memoryview(p + t + p)[m:m + len(t)]
+    for q in sorted({1, 3, min(m, 8)}):
+        for name, args in (("kmp", []), ("hashq", [q]), ("distq", [q, False]),
+                           ("distq", [q, True])):
+            got = getattr(native.engine, name)(pattern, text, *args)
+            assert got == _python_loop(name, [p, t, *args]), (name, q)
+            assert got[0][0] == 1 and got[0][-1] == len(t) - m + 1
+
+
 def _distq_both(text, pattern, q):
     prof = build_profile(pattern, q)
     return [matchers.distq_search(text, prof),

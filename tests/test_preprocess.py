@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qgramsearch import ConfigurationError, PatternProfile, build_profile, \
-    distq_search, kmp_shift_table, qgram_hash16
+    distq_search, hashq_search, kmp_shift_table, qgram_hash16
 from qgramsearch.hashing import qgram_hashes
 from qgramsearch.preprocess import hash_tables
 from oracles import dist_oracle, hash16_oracle, hash8_oracle, \
@@ -244,14 +244,20 @@ def test_hq_map_holds_one_entry_per_pattern_hash():
 
 
 @pytest.mark.parametrize("pat,q", [(b"abc", 4), (b"abc", 0), (b"abc", 9),
-                                   (b"", 1), (b"x" * 20, 9), (b"ab", 9)])
+                                   (b"", 1), (b"x" * 20, 9), (b"ab", 9),
+                                   (b"ab", "x"), (b"ab", None),
+                                   (b"abab", 1.5)])
 def test_profile_rejects_bad_q(pat, q):
-    # a profile validates itself, so a hand-built one cannot reach a search
+    # a profile validates itself, so a hand-built one cannot reach a search;
+    # a q that is not an int is named in the message
     for make in (build_profile, PatternProfile,
                  lambda pat, q: distq_search(b"abcabc",
-                                             PatternProfile(pat, q))):
-        with pytest.raises(ConfigurationError):
+                                             PatternProfile(pat, q)),
+                 lambda pat, q: hashq_search(b"abcabc", pat, q)):
+        with pytest.raises(ConfigurationError) as err:
             make(pat, q)
+        if not isinstance(q, int):
+            assert str(err.value) == f"q must be an int, got {q!r}"
 
 
 def test_bits_other_than_8_or_16_rejected_on_both_engines():
