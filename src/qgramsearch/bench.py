@@ -1,10 +1,11 @@
 """Benchmark harness.
 
-A run is described by a :class:`BenchSpec`: one corpus source, the
-algorithms to race, q values, pattern lengths, and the measurement protocol
-(``repetitions`` timed searches per trial, wall time taken as the best of
-``trials`` trials).  Preprocessing is re-run inside every repetition, so a
-row's time is the full cost of preparing and running that matcher.
+A run is described by a :class:`BenchSpec`, checked when it is built: one
+corpus source, the algorithms to race, q values, pattern lengths, and the
+measurement protocol (``repetitions`` timed searches per trial, wall time
+taken as the best of ``trials`` trials).  Preprocessing is re-run inside
+every repetition, so a row's time is the full cost of preparing and
+running that matcher.
 
 Counters must be identical across trials and all algorithms must agree on
 the occurrence count of every pattern; either violation raises
@@ -17,12 +18,11 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass
 from time import perf_counter
 
 from .corpus import CorpusSpec, load_text, fibonacci_string, \
     random_text_with_occurrences, sample_patterns
-from .errors import BenchmarkError, ConfigurationError
+from .errors import BenchmarkError, ConfigurationError, _FrozenRecord
 from .hashing import clamp_q
 from .matchers import ALGORITHMS, MATCHERS, SearchStats
 
@@ -31,55 +31,21 @@ CSV_COLUMNS = ("algo", "q", "m", "n", "occ", "reps", "total_ms",
                "hq_shifts", "dist_shifts", "kmp_shifts", "seed")
 
 
-@dataclass(frozen=True)
-class FileSource:
-    path: str
-    strip_newlines: bool = False
+class FileSource(_FrozenRecord):
+    def __init__(self, path: str, strip_newlines: bool = False):
+        self.__dict__.update(path=path, strip_newlines=strip_newlines)
 
 
-@dataclass(frozen=True)
-class FibonacciSource:
-    k: int
+class FibonacciSource(_FrozenRecord):
+    def __init__(self, k: int):
+        self.__dict__.update(k=k)
 
 
-@dataclass(frozen=True)
-class EmbedSource:
+class EmbedSource(_FrozenRecord):
     """Random texts with a known number of embedded pattern occurrences."""
 
-    n: int
-    sigma: int
-    occs: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BenchSpec:
-    source: FileSource | FibonacciSource | EmbedSource
-    algorithms: tuple[str, ...] = ALGORITHMS
-    qs: tuple[int, ...] = (3,)
-    pattern_lengths: tuple[int, ...] = (8,)
-    patterns_per_length: int = 1
-    repetitions: int = 1
-    trials: int = 1
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    """One measurement cell: an algorithm on one corpus at one (q, m).
-
-    Time, counters and occ aggregate over the patterns of the cell; q is 0
-    on rows of matchers that take no q.
-    """
-
-    algo: str
-    q: int
-    m: int
-    n: int
-    occ: int
-    reps: int
-    total_ms: float
-    stats: SearchStats
-    seed: int
+    def __init__(self, n: int, sigma: int, occs: tuple[int, ...]):
+        self.__dict__.update(n=n, sigma=sigma, occs=occs)
 
 
 def _reject_repeats(values, what: str) -> None:
@@ -90,36 +56,65 @@ def _reject_repeats(values, what: str) -> None:
             raise ConfigurationError(f"{what} {value!r} is listed twice")
 
 
-def _validate(spec: BenchSpec) -> None:
-    if not spec.algorithms:
-        raise ConfigurationError("algorithm list is empty")
-    for name in spec.algorithms:
-        if name not in MATCHERS:
-            raise ConfigurationError(f"unknown algorithm {name!r}")
-    _reject_repeats(spec.algorithms, "algorithm")
-    if not spec.qs or any(q < 1 for q in spec.qs):
-        raise ConfigurationError(f"q values must be >= 1, got {spec.qs}")
-    if not spec.pattern_lengths or any(m < 1 for m in spec.pattern_lengths):
-        raise ConfigurationError(
-            f"pattern lengths must be >= 1, got {spec.pattern_lengths}")
-    _reject_repeats(spec.pattern_lengths, "pattern length")
-    if spec.patterns_per_length < 1:
-        raise ConfigurationError(
-            f"patterns_per_length must be >= 1, got {spec.patterns_per_length}")
-    if isinstance(spec.source, EmbedSource):
-        if not spec.source.occs:
+class BenchSpec(_FrozenRecord):
+    """One benchmark run, checked on construction: every rejected setting
+    raises :class:`~qgramsearch.errors.ConfigurationError`."""
+
+    def __init__(self, source: FileSource | FibonacciSource | EmbedSource,
+                 algorithms: tuple[str, ...] = ALGORITHMS,
+                 qs: tuple[int, ...] = (3,),
+                 pattern_lengths: tuple[int, ...] = (8,),
+                 patterns_per_length: int = 1, repetitions: int = 1,
+                 trials: int = 1, seed: int = 0):
+        if not algorithms:
+            raise ConfigurationError("algorithm list is empty")
+        for name in algorithms:
+            if name not in MATCHERS:
+                raise ConfigurationError(f"unknown algorithm {name!r}")
+        _reject_repeats(algorithms, "algorithm")
+        if not qs or any(q < 1 for q in qs):
+            raise ConfigurationError(f"q values must be >= 1, got {qs}")
+        if not pattern_lengths or any(m < 1 for m in pattern_lengths):
             raise ConfigurationError(
-                "embed source needs at least one occ value")
-        _reject_repeats(spec.source.occs, "occ value")
-        if spec.patterns_per_length != 1:
+                f"pattern lengths must be >= 1, got {pattern_lengths}")
+        _reject_repeats(pattern_lengths, "pattern length")
+        if patterns_per_length < 1:
             raise ConfigurationError(
-                "an embed source has exactly one pattern per corpus, got "
-                f"patterns_per_length={spec.patterns_per_length}")
-    if spec.repetitions < 1:
-        raise ConfigurationError(
-            f"repetitions must be >= 1, got {spec.repetitions}")
-    if spec.trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {spec.trials}")
+                f"patterns_per_length must be >= 1, got {patterns_per_length}")
+        if isinstance(source, EmbedSource):
+            if not source.occs:
+                raise ConfigurationError(
+                    "embed source needs at least one occ value")
+            _reject_repeats(source.occs, "occ value")
+            if patterns_per_length != 1:
+                raise ConfigurationError(
+                    "an embed source has exactly one pattern per corpus, got "
+                    f"patterns_per_length={patterns_per_length}")
+        if repetitions < 1:
+            raise ConfigurationError(
+                f"repetitions must be >= 1, got {repetitions}")
+        if trials < 1:
+            raise ConfigurationError(f"trials must be >= 1, got {trials}")
+        if not isinstance(source, (FileSource, FibonacciSource, EmbedSource)):
+            raise ConfigurationError(f"unknown corpus source {source!r}")
+        self.__dict__.update(
+            source=source, algorithms=algorithms, qs=qs,
+            pattern_lengths=pattern_lengths,
+            patterns_per_length=patterns_per_length, repetitions=repetitions,
+            trials=trials, seed=seed)
+
+
+class ReportRow(_FrozenRecord):
+    """One measurement cell: an algorithm on one corpus at one (q, m).
+
+    Time, counters and occ aggregate over the patterns of the cell; q is 0
+    on rows of matchers that take no q.
+    """
+
+    def __init__(self, algo: str, q: int, m: int, n: int, occ: int,
+                 reps: int, total_ms: float, stats: SearchStats, seed: int):
+        self.__dict__.update(algo=algo, q=q, m=m, n=n, occ=occ, reps=reps,
+                             total_ms=total_ms, stats=stats, seed=seed)
 
 
 def _measure(algo: str, q: int, text: bytes, pattern: bytes,
@@ -177,7 +172,6 @@ def _measure_cell(spec: BenchSpec, label: str, text: bytes, m: int,
 
 def run_benchmark(spec: BenchSpec) -> list[ReportRow]:
     """Execute every cell of ``spec`` and return one row per cell."""
-    _validate(spec)
     rng = random.Random(spec.seed)
     rows: list[ReportRow] = []
     src = spec.source
@@ -195,11 +189,9 @@ def run_benchmark(spec: BenchSpec) -> list[ReportRow]:
     if isinstance(src, FileSource):
         text = load_text(src.path, strip_newlines=src.strip_newlines)
         label = f"file({src.path})"
-    elif isinstance(src, FibonacciSource):
+    else:  # a BenchSpec holds no other source
         text = fibonacci_string(src.k)
         label = f"fib({src.k})"
-    else:
-        raise ConfigurationError(f"unknown corpus source {src!r}")
     for m in spec.pattern_lengths:
         samp_seed = rng.getrandbits(63)
         patterns = sample_patterns(text, m, spec.patterns_per_length, samp_seed)

@@ -108,12 +108,12 @@ SPEC_ERRORS = [
     f"overrides{i}" for i in range(len(SPEC_ERRORS))])
 def test_spec_validation(overrides, message):
     with pytest.raises(ConfigurationError, match=message):
-        run_benchmark(small_spec(**overrides))
+        small_spec(**overrides)  # BenchSpec(...) itself, before any run
 
 
 def test_embed_source_needs_occ_values():
     with pytest.raises(ConfigurationError, match="at least one occ value"):
-        run_benchmark(small_spec(source=EmbedSource(n=100, sigma=4, occs=())))
+        small_spec(source=EmbedSource(n=100, sigma=4, occs=()))
 
 
 # --- reports ---

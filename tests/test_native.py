@@ -12,6 +12,7 @@ import mmap
 import os
 import pathlib
 import random
+import shlex
 import shutil
 import subprocess
 import sys
@@ -32,9 +33,18 @@ SOURCE = pathlib.Path(native.__file__).with_name("_engine.c")
 PATTERN = b"abaabbaaa"
 TEXT = b"abbaabbaababbabbaaabaabaabbaaa"
 
+# the compiler that native.load starts; tests/test_sanitizers.py uses it too
+CC = shlex.split(sysconfig.get_config_var("CC") or "cc")
+needs_cc = pytest.mark.skipif(shutil.which(CC[0]) is None,
+                              reason=f"no C compiler: {CC[0]} not found")
+needs_engine = pytest.mark.skipif(
+    native.engine is None,
+    reason=f"no compiled engine: {qgramsearch.ENGINE_REASON}")
 
+
+@needs_cc
 def test_engine_is_compiled():
-    # gcc and Python.h are part of the development environment
+    # where a compiler is found, the engine must build and load
     assert qgramsearch.ENGINE == "c", qgramsearch.ENGINE_REASON
     assert qgramsearch.ENGINE_REASON is None
     crc = zlib.crc32(SOURCE.read_bytes())
@@ -52,6 +62,7 @@ def no_preload(monkeypatch):
     monkeypatch.delenv("LD_PRELOAD", raising=False)
 
 
+@needs_cc
 def test_build_is_cached_even_without_bytecode(tmp_path, monkeypatch,
                                                no_preload):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -66,6 +77,7 @@ def test_build_is_cached_even_without_bytecode(tmp_path, monkeypatch,
     assert again is not None and built[0].stat().st_mtime_ns == stamp
 
 
+@needs_cc
 def test_a_new_build_removes_the_builds_of_earlier_sources(tmp_path,
                                                            no_preload):
     source = tmp_path / "_engine.c"
@@ -78,6 +90,7 @@ def test_a_new_build_removes_the_builds_of_earlier_sources(tmp_path,
         [pathlib.Path(second.__file__).name]
 
 
+@needs_cc
 def test_source_that_does_not_compile_gives_a_reason(tmp_path, no_preload):
     source = tmp_path / "_engine.c"
     source.write_text("this is not C\n")
@@ -191,6 +204,7 @@ def test_builders_agree_without_the_engine():
             (p[:20], len(p), q)
 
 
+@needs_engine
 @pytest.mark.parametrize("m", [7, 8, 9, 15, 16, 17, 31, 32, 33])
 def test_searches_read_only_the_slices_they_are_given(m):
     # The compiled searches compare 8 bytes at a time.  Here pattern and
@@ -218,6 +232,7 @@ def _distq_both(text, pattern, q):
             matchers.ldistq_search(text, prof)]
 
 
+@needs_engine
 def test_engine_hq_table_is_clean_after_every_call():
     # distq sets the entries of its pattern's q-grams in the engine's own
     # 16-bit table and clears them before it returns; an entry left behind
@@ -275,20 +290,20 @@ def test_threads_searching_at_once_get_their_own_results():
     assert all(got == want[k] for run in results for k, got in run)
 
 
+@needs_engine
 @pytest.mark.parametrize("name, args, message", [
     pytest.param("distq", [PATTERN, TEXT, 9, False], "q must be in",
                  id="q-above-8"),
     pytest.param("distq", [b"ab", TEXT, 3, False], "q must be in",
                  id="q-above-m"),
     pytest.param("kmp", [b"", TEXT], "non-empty", id="empty-pattern"),
-    # the checks that guarded the table builders, now made by the search
-    # that builds the tables
+    # hashq's q checks, and the rolling-hash distq's on an empty pattern
     pytest.param("hashq", [PATTERN, TEXT, 9], "q must be in",
-                 id="tables-q-above-8"),
+                 id="hashq-q-above-8"),
     pytest.param("hashq", [b"ab", TEXT, 3], "q must be in",
-                 id="tables-q-above-m"),
+                 id="hashq-q-above-m"),
     pytest.param("distq", [b"", TEXT, 1, True], "q must be in",
-                 id="tables-empty-pattern"),
+                 id="ldistq-empty-pattern"),
 ])
 def test_bad_input_raises_instead_of_reading_out_of_bounds(name, args,
                                                            message):
@@ -328,6 +343,7 @@ def _python_loop(name, args):
     return (out.occurrences, *vars(out.stats).values())
 
 
+@needs_engine
 @given(_engine_call())
 @settings(max_examples=300, deadline=None)
 def test_any_arguments_give_the_python_result_or_a_value_error(call):
@@ -341,6 +357,7 @@ def test_any_arguments_give_the_python_result_or_a_value_error(call):
     assert got == _python_loop(name, args)
 
 
+@needs_engine
 def test_build_leaves_nothing_for_git():
     root = SOURCE.parents[2]
     if not (root / ".git").exists() or shutil.which("git") is None:

@@ -146,6 +146,9 @@ def test_a_file_search_loads_no_harness(tmp_path):
 def test_bench_and_corpus_names_resolve_on_first_use():
     loaded = _modules_after("import qgramsearch")
     assert loaded & {"qgramsearch.bench", "qgramsearch.corpus"} == set()
+    loaded = _modules_after("import qgramsearch; qgramsearch.BenchSpec")
+    assert "qgramsearch.bench" in loaded
+    assert loaded & {"dataclasses", "inspect"} == set()
     owners = {name: module for module, tree in _module_trees().items()
               if module != "__init__" for name in _definitions(tree)}
     for name in qgramsearch.__all__:
@@ -183,9 +186,28 @@ RECORDS = [
      "CorpusSpec(n=10, sigma=4, m=2, occ=1, seed=7)"),
     (qgramsearch.GeneratedCorpus, "text pattern occ", (b"ab", b"a", 1),
      "GeneratedCorpus(text=b'ab', pattern=b'a', occ=1)"),
+    (qgramsearch.FileSource, "path strip_newlines", ("t.txt", True),
+     "FileSource(path='t.txt', strip_newlines=True)"),
+    (qgramsearch.FibonacciSource, "k", (15,), "FibonacciSource(k=15)"),
+    (qgramsearch.EmbedSource, "n sigma occs", (100, 4, (0, 3)),
+     "EmbedSource(n=100, sigma=4, occs=(0, 3))"),
+    (qgramsearch.BenchSpec, "source algorithms qs pattern_lengths "
+     "patterns_per_length repetitions trials seed",
+     (qgramsearch.FibonacciSource(15), ("kmp",), (3,), (8,), 2, 3, 4, 5),
+     "BenchSpec(source=FibonacciSource(k=15), algorithms=('kmp',), qs=(3,), "
+     "pattern_lengths=(8,), patterns_per_length=2, repetitions=3, trials=4, "
+     "seed=5)"),
+    # stats=None: a row holding a SearchStats, which is mutable, is
+    # unhashable, as a frozen dataclass holding one was
+    (qgramsearch.ReportRow, "algo q m n occ reps total_ms stats seed",
+     ("distq", 3, 8, 100, 2, 1, 0.5, None, 7),
+     "ReportRow(algo='distq', q=3, m=8, n=100, occ=2, reps=1, total_ms=0.5, "
+     "stats=None, seed=7)"),
 ]
 READ_ONLY_TYPES = (qgramsearch.PatternProfile, qgramsearch.CorpusSpec,
-                   qgramsearch.GeneratedCorpus)
+                   qgramsearch.GeneratedCorpus, qgramsearch.FileSource,
+                   qgramsearch.FibonacciSource, qgramsearch.EmbedSource,
+                   qgramsearch.BenchSpec, qgramsearch.ReportRow)
 READ_ONLY = [r for r in RECORDS if r[0] in READ_ONLY_TYPES]
 # another value of the last field, valid where the record validates it
 OTHER_LAST = {qgramsearch.PatternProfile: 2}
@@ -231,6 +253,12 @@ def test_record_defaults():
     a.hash_ends.append(1)
     assert vars(b) == {"shifts": [], "positions": [], "hash_ends": []}
     assert len({id(x) for t in (a, b) for x in vars(t).values()}) == 6
+    assert qgramsearch.FileSource("t") == qgramsearch.FileSource("t", False)
+    source = qgramsearch.FibonacciSource(15)
+    assert vars(qgramsearch.BenchSpec(source)) == dict(
+        source=source, algorithms=qgramsearch.ALGORITHMS, qs=(3,),
+        pattern_lengths=(8,), patterns_per_length=1, repetitions=1, trials=1,
+        seed=0)
 
 
 @pytest.mark.parametrize("values, message", [

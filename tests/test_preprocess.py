@@ -179,7 +179,7 @@ def every_q(test):
 @every_q
 @given(pattern_and_q(), st.lists(st.integers(0, (1 << 16) - 1), max_size=8))
 @settings(max_examples=100, deadline=None)
-def test_profile_tables_match_oracles(case, hashes):
+def test_hash_tables_match_oracles(case, hashes):
     # all 256 byte values and patterns longer than the acceptance fuzz's 64
     pat, q = case
     m = len(pat)
@@ -209,7 +209,7 @@ def _peak(build, *args):
 
 
 @pytest.mark.parametrize("m", [1, 16, 200])
-def test_profile_allocates_one_hash_table(m):
+def test_hash_tables_allocate_one_map(m):
     # the Python scan's one hash table is the hq map of at most m - q + 1
     # pattern hashes, so it takes O(m) memory with either fingerprint: 16 KB,
     # or 512 B per pattern byte when that is more (a dense 16-bit table
@@ -260,7 +260,7 @@ def test_profile_rejects_bad_q(pat, q):
             assert str(err.value) == f"q must be an int, got {q!r}"
 
 
-def test_bits_other_than_8_or_16_rejected_on_both_engines():
+def test_bits_other_than_8_or_16_rejected():
     for bits in (0, 3, 12, 32):
         with pytest.raises(ConfigurationError, match="bits must be 8 or"):
             hash_tables(b"abcab", 2, bits)

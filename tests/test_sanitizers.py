@@ -11,7 +11,6 @@ package's own ``__pycache__``.
 
 import os
 import pathlib
-import shlex
 import shutil
 import subprocess
 import sys
@@ -22,7 +21,8 @@ from importlib.machinery import EXTENSION_SUFFIXES
 import pytest
 
 import qgramsearch
-from test_native import test_builders_agree_without_the_engine as BUILDERS
+from test_native import CC, needs_cc, \
+    test_builders_agree_without_the_engine as BUILDERS
 
 PACKAGE = pathlib.Path(qgramsearch.__file__).parent
 TESTS = pathlib.Path(__file__).parent
@@ -30,14 +30,12 @@ FLAGS = ["-O1", "-g", "-fsanitize=address,undefined",
          "-fno-sanitize-recover=undefined"]
 
 
+@needs_cc
 def test_engine_tests_pass_under_sanitizers(tmp_path):
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if shutil.which(cc[0]) is None:
-        pytest.skip(f"no C compiler: {cc[0]} not found")
-    libasan = subprocess.run([*cc, "-print-file-name=libasan.so"],
+    libasan = subprocess.run([*CC, "-print-file-name=libasan.so"],
                              capture_output=True, text=True).stdout.strip()
     if not os.path.isabs(libasan) or not os.path.exists(libasan):
-        pytest.skip(f"{cc[0]} has no libasan.so")
+        pytest.skip(f"{CC[0]} has no libasan.so")
     package = tmp_path / "src" / "qgramsearch"
     shutil.copytree(PACKAGE, package,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -45,7 +43,7 @@ def test_engine_tests_pass_under_sanitizers(tmp_path):
     build = package / "__pycache__" / \
         f"_engine.{zlib.crc32(source.read_bytes()):08x}{EXTENSION_SUFFIXES[0]}"
     build.parent.mkdir()
-    subprocess.run([*cc, *FLAGS, "-shared", "-fPIC",
+    subprocess.run([*CC, *FLAGS, "-shared", "-fPIC",
                     "-I" + sysconfig.get_paths()["include"], str(source),
                     "-o", str(build)], check=True, capture_output=True)
     stamp = build.stat().st_mtime_ns
