@@ -6,13 +6,23 @@
  * from Python: a search takes the pattern and the text (both read through
  * the buffer protocol), and q and rolling where it needs them.  Unsigned
  * 32-bit hashes masked to 16 or 8 bits equal the Python polynomials mod
- * 2^16 or 2^8.  Two things differ from the Python loops in form only:
+ * 2^16 or 2^8.  Three things differ from the Python loops in form only:
  * hashq and distq verify a window 8 bytes at a time (agree), while
  * char_comparisons still counts byte tests, the bytes matched plus the
- * failing one; and the searches store positions in a block on the C
- * stack, which becomes ints outside the loops (add, flush).  The word
- * compare is written for little-endian and picks clz on a big-endian
- * build at compile time; only little-endian was tested. */
+ * failing one; the searches store positions in a block on the C stack,
+ * which becomes ints outside the loops (add, flush); and distq, once an
+ * alignment step has taken the full shift m - q + 1, hashes the next two
+ * windows at once and takes both full shifts when both are clean, so the
+ * second load does not wait for the first.  A pair adds to every counter
+ * what its two single steps add, and sets the rolling cache to the second
+ * window, whose hash a roll would have given too; the shifts, and so the
+ * windows a traced Python run records, are the same.  The pair loop is
+ * entered only after a full shift: there the last window hashed ends
+ * m - q + 1 bytes before the next, so each step of a pair reads what a
+ * single step would (at the start of an alignment phase the distance to
+ * the last window varies), and a clean window is likely to be followed by
+ * more.  The word compare is written for little-endian and picks clz on a
+ * big-endian build at compile time; only little-endian was tested. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -272,10 +282,7 @@ LOOPS_PLACED static PyObject *distq(PyObject *self, PyObject *args) {
                              + T[last_end + s]) & 0xFFFF;
                     reads += d;
                 } else {
-                    h = 0;
-                    for (s = e - q; s < e; s++)
-                        h = h * 4 + T[s];
-                    h &= 0xFFFF;
+                    h = qgram(T, e, q, 16);
                     reads += q;
                 }
                 last_end = e, last_h = h;
@@ -288,6 +295,19 @@ LOOPS_PLACED static PyObject *distq(PyObject *self, PyObject *args) {
                     windows++;
                 if (sh != mq1)
                     break;  /* some pattern q-gram hashes like this one */
+                /* full shifts two at a time while both windows are clean
+                 * and both shifts stay in the text; k - last_end is mq1
+                 * here, so a step of a pair rolls mq1 bytes when mq1 < q */
+                while (k + 2 * mq1 <= n) {
+                    uint32_t h1 = qgram(T, k, q, 16),
+                             h2 = qgram(T, k + mq1, q, 16);
+                    if (HQ[h1] | HQ[h2])
+                        break;
+                    last_end = k + mq1, last_h = h2;
+                    k += 2 * mq1;
+                    hq_n += 2, windows += 2;
+                    reads += 2 * (rolling && mq1 < q ? mq1 : q);
+                }
             }
             if (k > n)
                 break;  /* window left the text */

@@ -56,6 +56,14 @@ def _reject_repeats(values, what: str) -> None:
             raise ConfigurationError(f"{what} {value!r} is listed twice")
 
 
+def _require_ints(what: str, *values) -> None:
+    """Raise on a value that is not an int, before any range check meets it
+    (as in :func:`~qgramsearch.hashing.check_q`, a bool counts as one)."""
+    for value in values:
+        if not isinstance(value, int):
+            raise ConfigurationError(f"{what} must be an int, got {value!r}")
+
+
 class BenchSpec(_FrozenRecord):
     """One benchmark run, checked on construction: every rejected setting
     raises :class:`~qgramsearch.errors.ConfigurationError`."""
@@ -72,12 +80,15 @@ class BenchSpec(_FrozenRecord):
             if name not in MATCHERS:
                 raise ConfigurationError(f"unknown algorithm {name!r}")
         _reject_repeats(algorithms, "algorithm")
+        _require_ints("q value", *qs)
         if not qs or any(q < 1 for q in qs):
             raise ConfigurationError(f"q values must be >= 1, got {qs}")
+        _require_ints("pattern length", *pattern_lengths)
         if not pattern_lengths or any(m < 1 for m in pattern_lengths):
             raise ConfigurationError(
                 f"pattern lengths must be >= 1, got {pattern_lengths}")
         _reject_repeats(pattern_lengths, "pattern length")
+        _require_ints("patterns_per_length", patterns_per_length)
         if patterns_per_length < 1:
             raise ConfigurationError(
                 f"patterns_per_length must be >= 1, got {patterns_per_length}")
@@ -90,9 +101,11 @@ class BenchSpec(_FrozenRecord):
                 raise ConfigurationError(
                     "an embed source has exactly one pattern per corpus, got "
                     f"patterns_per_length={patterns_per_length}")
+        _require_ints("repetitions", repetitions)
         if repetitions < 1:
             raise ConfigurationError(
                 f"repetitions must be >= 1, got {repetitions}")
+        _require_ints("trials", trials)
         if trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {trials}")
         if not isinstance(source, (FileSource, FibonacciSource, EmbedSource)):

@@ -100,6 +100,13 @@ SPEC_ERRORS = [
     (dict(source=EmbedSource(n=2000, sigma=4, occs=(3,))),
      "exactly one pattern per corpus"),
     (dict(source="fib"), "unknown corpus source"),  # not a source type
+    # a setting that is not an int, before a comparison or a run meets it
+    (dict(qs=("x",)), "q value must be an int, got 'x'"),
+    (dict(repetitions="2"), "repetitions must be an int, got '2'"),
+    (dict(pattern_lengths=(8.5,)), r"pattern length must be an int, got 8\.5"),
+    (dict(patterns_per_length=2.0),
+     r"patterns_per_length must be an int, got 2\.0"),
+    (dict(trials=None), "trials must be an int, got None"),
 ]
 
 

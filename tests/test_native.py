@@ -226,6 +226,37 @@ def test_searches_read_only_the_slices_they_are_given(m):
             assert got[0][0] == 1 and got[0][-1] == len(t) - m + 1
 
 
+@needs_engine
+@pytest.mark.parametrize("m, q", [(1, 1), (3, 3), (8, 8), (5, 4), (10, 8),
+                                  (6, 3), (24, 8)])
+def test_pairs_of_full_shifts_count_like_single_steps(m, q):
+    # After a full shift m - q + 1, the compiled distq takes full shifts two
+    # at a time while both windows are clean and both shifts stay in the
+    # text.  Pattern q-gram hashes are 1 or 2 mod 4 (the last byte is a or
+    # b) and filler ones 0 mod 4, so every filler window is clean.  With n
+    # from m to m + 3(m - q + 1) + q the last pair ends at n, at n - 1 and
+    # short of n; q = m steps by 1, and m < 2q - 1 rolls by under q bytes in
+    # ldistq.  A pattern q-gram ends a run of 1 to 3 clean windows, or one
+    # byte past it.  Each text is a slice between pattern bytes.
+    rng = random.Random(m * 10 + q)
+    p = bytes(rng.choices(b"ab", k=m))
+    mq1 = m - q + 1
+    for n in range(m, m + 3 * mq1 + q + 1):
+        filler = bytes(rng.choices(b"\x00\x04\x08", k=n))
+        texts = [filler]
+        for end in sorted({m + run * mq1 + off for run in (1, 2, 3)
+                           for off in (0, 1)}):
+            if end <= n:
+                j = rng.randint(q, m)
+                texts.append(filler[:end - q] + p[j - q:j] + filler[end:])
+        for t in texts:
+            text = memoryview(p + t + p)[m:m + n]
+            for rolling in (False, True):
+                assert native.engine.distq(p, text, q, rolling) == \
+                    _python_loop("distq", [p, t, q, rolling]), \
+                    (p, t, q, rolling)
+
+
 def _distq_both(text, pattern, q):
     prof = build_profile(pattern, q)
     return [matchers.distq_search(text, prof),
