@@ -2,7 +2,7 @@
  * Each ports the untraced branch of its Python function line for line and
  * returns (occurrences, counters in SearchStats field order).  Each builds
  * the shift tables it reads from the pattern, by the algorithms of
- * kmp_shift_table and hash_tables in preprocess.py, so no table crosses
+ * kmp_shift_table and hash_tables in matchers.py, so no table crosses
  * from Python: a search takes the pattern and the text (both read through
  * the buffer protocol), and q and rolling where it needs them.  Unsigned
  * 32-bit hashes masked to 16 or 8 bits equal the Python polynomials mod

@@ -20,32 +20,17 @@ import io
 import random
 from time import perf_counter
 
-from .corpus import CorpusSpec, load_text, fibonacci_string, \
-    random_text_with_occurrences, sample_patterns
-from .errors import BenchmarkError, ConfigurationError, _FrozenRecord
+from .corpus import CorpusSpec, _check_fib_order, _fspath, alphabet_bytes, \
+    fibonacci_string, load_text, random_text_with_occurrences, \
+    sample_patterns
+from .errors import BenchmarkError, ConfigurationError, _FrozenRecord, \
+    _require_ints
 from .hashing import clamp_q
 from .matchers import ALGORITHMS, MATCHERS, SearchStats
 
 CSV_COLUMNS = ("algo", "q", "m", "n", "occ", "reps", "total_ms",
                "char_cmp", "first_char_checks", "hash_char_reads",
                "hq_shifts", "dist_shifts", "kmp_shifts", "seed")
-
-
-class FileSource(_FrozenRecord):
-    def __init__(self, path: str, strip_newlines: bool = False):
-        self.__dict__.update(path=path, strip_newlines=strip_newlines)
-
-
-class FibonacciSource(_FrozenRecord):
-    def __init__(self, k: int):
-        self.__dict__.update(k=k)
-
-
-class EmbedSource(_FrozenRecord):
-    """Random texts with a known number of embedded pattern occurrences."""
-
-    def __init__(self, n: int, sigma: int, occs: tuple[int, ...]):
-        self.__dict__.update(n=n, sigma=sigma, occs=occs)
 
 
 def _reject_repeats(values, what: str) -> None:
@@ -56,12 +41,41 @@ def _reject_repeats(values, what: str) -> None:
             raise ConfigurationError(f"{what} {value!r} is listed twice")
 
 
-def _require_ints(what: str, *values) -> None:
-    """Raise on a value that is not an int, before any range check meets it
-    (as in :func:`~qgramsearch.hashing.check_q`, a bool counts as one)."""
-    for value in values:
-        if not isinstance(value, int):
-            raise ConfigurationError(f"{what} must be an int, got {value!r}")
+def _require_tuple(what: str, value) -> None:
+    """Raise on a setting that is not a tuple, such as a lone str or int."""
+    if not isinstance(value, tuple):
+        raise ConfigurationError(f"{what} must be a tuple, got {value!r}")
+
+
+# each source, like a BenchSpec, rejects a bad field on construction
+class FileSource(_FrozenRecord):
+    def __init__(self, path: str, strip_newlines: bool = False):
+        _fspath(path)  # the check load_text makes
+        if not isinstance(strip_newlines, bool):
+            raise ConfigurationError(
+                f"strip_newlines must be a bool, got {strip_newlines!r}")
+        self.__dict__.update(path=path, strip_newlines=strip_newlines)
+
+
+class FibonacciSource(_FrozenRecord):
+    def __init__(self, k: int):
+        _check_fib_order(k)
+        self.__dict__.update(k=k)
+
+
+class EmbedSource(_FrozenRecord):
+    """Random texts with a known number of embedded pattern occurrences."""
+
+    def __init__(self, n: int, sigma: int, occs: tuple[int, ...]):
+        _require_ints("n", n, least=1)
+        alphabet_bytes(sigma)  # the one check of sigma
+        _require_tuple("occs", occs)
+        if not occs:
+            raise ConfigurationError(
+                "embed source needs at least one occ value")
+        _require_ints("occ value", *occs, least=0)
+        _reject_repeats(occs, "occ value")
+        self.__dict__.update(n=n, sigma=sigma, occs=occs)
 
 
 class BenchSpec(_FrozenRecord):
@@ -74,42 +88,33 @@ class BenchSpec(_FrozenRecord):
                  pattern_lengths: tuple[int, ...] = (8,),
                  patterns_per_length: int = 1, repetitions: int = 1,
                  trials: int = 1, seed: int = 0):
+        if not isinstance(source, (FileSource, FibonacciSource, EmbedSource)):
+            raise ConfigurationError(f"unknown corpus source {source!r}")
+        _require_tuple("algorithms", algorithms)
         if not algorithms:
             raise ConfigurationError("algorithm list is empty")
         for name in algorithms:
             if name not in MATCHERS:
                 raise ConfigurationError(f"unknown algorithm {name!r}")
         _reject_repeats(algorithms, "algorithm")
+        _require_tuple("q values", qs)
         _require_ints("q value", *qs)
         if not qs or any(q < 1 for q in qs):
             raise ConfigurationError(f"q values must be >= 1, got {qs}")
+        _require_tuple("pattern lengths", pattern_lengths)
         _require_ints("pattern length", *pattern_lengths)
         if not pattern_lengths or any(m < 1 for m in pattern_lengths):
             raise ConfigurationError(
                 f"pattern lengths must be >= 1, got {pattern_lengths}")
         _reject_repeats(pattern_lengths, "pattern length")
-        _require_ints("patterns_per_length", patterns_per_length)
-        if patterns_per_length < 1:
+        _require_ints("patterns_per_length", patterns_per_length, least=1)
+        if isinstance(source, EmbedSource) and patterns_per_length != 1:
             raise ConfigurationError(
-                f"patterns_per_length must be >= 1, got {patterns_per_length}")
-        if isinstance(source, EmbedSource):
-            if not source.occs:
-                raise ConfigurationError(
-                    "embed source needs at least one occ value")
-            _reject_repeats(source.occs, "occ value")
-            if patterns_per_length != 1:
-                raise ConfigurationError(
-                    "an embed source has exactly one pattern per corpus, got "
-                    f"patterns_per_length={patterns_per_length}")
-        _require_ints("repetitions", repetitions)
-        if repetitions < 1:
-            raise ConfigurationError(
-                f"repetitions must be >= 1, got {repetitions}")
-        _require_ints("trials", trials)
-        if trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {trials}")
-        if not isinstance(source, (FileSource, FibonacciSource, EmbedSource)):
-            raise ConfigurationError(f"unknown corpus source {source!r}")
+                "an embed source has exactly one pattern per corpus, got "
+                f"patterns_per_length={patterns_per_length}")
+        _require_ints("repetitions", repetitions, least=1)
+        _require_ints("trials", trials, least=1)
+        _require_ints("seed", seed)
         self.__dict__.update(
             source=source, algorithms=algorithms, qs=qs,
             pattern_lengths=pattern_lengths,

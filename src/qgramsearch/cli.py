@@ -130,11 +130,6 @@ def _csv_ints(text: str, what: str) -> tuple[int, ...]:
 def _cmd_bench(args) -> int:
     from .bench import BenchSpec, EmbedSource, FibonacciSource, \
         FileSource, _reject_repeats, emit_report, run_benchmark
-    given = [s for s in (args.text_file, args.fib, args.embed_n)
-             if s is not None]
-    if len(given) != 1:
-        raise ConfigurationError(
-            "exactly one of --text-file / --fib / --embed-n is required")
     if args.embed_n is None and (args.embed_sigma is not None
                                  or args.embed_occ is not None):
         raise ConfigurationError(
@@ -145,10 +140,6 @@ def _cmd_bench(args) -> int:
     per_length = args.patterns_per_length
     if per_length is None:
         per_length = 1 if args.embed_n is not None else 3
-    elif args.embed_n is not None:
-        raise ConfigurationError(
-            "--patterns-per-length applies only with --fib / --text-file"
-            " (an --embed-n corpus has one pattern)")
     if args.text_file is not None:
         sources = [FileSource(args.text_file,
                               strip_newlines=args.strip_newlines)]
@@ -227,11 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_occ.set_defaults(func=_cmd_gen_occ)
 
     p_bench = sub.add_parser("bench", help="run a benchmark and emit a report")
-    p_bench.add_argument("--text-file", help="benchmark corpus from a file")
-    p_bench.add_argument("--fib",
-                         help="comma list of Fibonacci orders K, one corpus each")
-    p_bench.add_argument("--embed-n", type=int,
-                         help="embedded-occurrence corpus of this length")
+    grp = p_bench.add_mutually_exclusive_group(required=True)
+    grp.add_argument("--text-file", help="benchmark corpus from a file")
+    grp.add_argument("--fib",
+                     help="comma list of Fibonacci orders K, one corpus each")
+    grp.add_argument("--embed-n", type=int,
+                     help="embedded-occurrence corpus of this length")
     p_bench.add_argument("--embed-sigma",
                          help="comma list of alphabet sizes for --embed-n, "
                               "one corpus each")

@@ -8,9 +8,11 @@ Twister) seeded explicitly, so every corpus is reproducible from its spec.
 
 from __future__ import annotations
 
+import os
 import random
 
-from .errors import ConfigurationError, GenerationError, _FrozenRecord
+from .errors import ConfigurationError, GenerationError, _FrozenRecord, \
+    _require_ints
 
 MAX_FIB_ORDER = 40
 MAX_SIGMA = 95
@@ -19,10 +21,17 @@ PLACEMENT_ATTEMPTS = 100
 
 
 def alphabet_bytes(sigma: int) -> bytes:
+    _require_ints("sigma", sigma)
     if not 2 <= sigma <= MAX_SIGMA:
         raise ConfigurationError(f"sigma must be in [2, {MAX_SIGMA}], got {sigma}")
     start = ord("a") if sigma <= 26 else 32
     return bytes(range(start, start + sigma))
+
+
+def _check_fib_order(k: int) -> None:
+    _require_ints("k", k)
+    if not 1 <= k <= MAX_FIB_ORDER:
+        raise ConfigurationError(f"k must be in [1, {MAX_FIB_ORDER}], got {k}")
 
 
 def fibonacci_string(k: int) -> bytes:
@@ -31,8 +40,7 @@ def fibonacci_string(k: int) -> bytes:
     >>> fibonacci_string(5)
     b'abaab'
     """
-    if not 1 <= k <= MAX_FIB_ORDER:
-        raise ConfigurationError(f"k must be in [1, {MAX_FIB_ORDER}], got {k}")
+    _check_fib_order(k)
     if k == 1:
         return b"b"
     prev, cur = b"b", b"a"
@@ -45,13 +53,10 @@ class CorpusSpec(_FrozenRecord):
     """Parameters of one generated random text with embedded occurrences."""
 
     def __init__(self, n: int, sigma: int, m: int, occ: int, seed: int):
-        if n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {n}")
+        _require_ints("n", n, least=1)
         alphabet_bytes(sigma)  # the one check of sigma
-        if m < 1:
-            raise ConfigurationError(f"m must be >= 1, got {m}")
-        if occ < 0:
-            raise ConfigurationError(f"occ must be >= 0, got {occ}")
+        _require_ints("m", m, least=1)
+        _require_ints("occ", occ, least=0)
         if occ * m > n:
             raise ConfigurationError(f"occ*m = {occ * m} exceeds n = {n}")
         self.__dict__.update(n=n, sigma=sigma, m=m, occ=occ, seed=seed)
@@ -145,8 +150,18 @@ def sample_patterns(text: bytes, m: int, count: int, seed: int) -> list[bytes]:
     return [t[s:s + m] for s in (rng.randint(0, last) for _ in range(count))]
 
 
+def _fspath(path):
+    """``os.fspath(path)``, raising ConfigurationError on a non-path such as
+    an int, which ``open`` would take as a file descriptor."""
+    try:
+        return os.fspath(path)
+    except TypeError:
+        raise ConfigurationError("path must be a str, bytes or os.PathLike, "
+                                 f"got {path!r}") from None
+
+
 def load_text(path, *, strip_newlines: bool = False) -> bytes:
     """Read a file as raw bytes, optionally dropping line-feed bytes."""
-    with open(path, "rb") as fh:
+    with open(_fspath(path), "rb") as fh:
         data = fh.read()
     return data.replace(b"\n", b"") if strip_newlines else data

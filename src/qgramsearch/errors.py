@@ -1,4 +1,5 @@
-"""Exception types and the record base classes shared across the package.
+"""Exception types, the record base classes and the int check shared
+across the package.
 
 Every rejected input (an empty pattern, a q outside [1, min(m, 8)], a hash
 window whose length is not q, a bad CLI or benchmark setting) raises
@@ -22,6 +23,16 @@ class GenerationError(Error, RuntimeError):
 
 class BenchmarkError(Error, RuntimeError):
     """A benchmark-time invariant failed, e.g. matchers disagree on counts."""
+
+
+def _require_ints(what: str, *values, least: int | None = None) -> None:
+    """Raise on a value that is not an int (a bool counts as one), or that
+    is below ``least`` when that is given."""
+    for value in values:
+        if not isinstance(value, int):
+            raise ConfigurationError(f"{what} must be an int, got {value!r}")
+        if least is not None and value < least:
+            raise ConfigurationError(f"{what} must be >= {least}, got {value}")
 
 
 class _Record:

@@ -13,7 +13,8 @@ to the right: :func:`qgram_hashes`, which the Python table builder runs
 definition of both polynomials and of the q-gram input contract:
 :func:`check_q` is the one check of a (pattern length, q) pair, and
 :func:`clamp_q` the one clamp of a requested q to the q that runs.  The
-matchers' text-side loops inline the same arithmetic for speed.
+matchers' text-side loops inline the same arithmetic for speed, with the
+base and mask that :func:`fingerprint` gives them.
 
 q is capped at 8: for q >= 9 the weight 4^(q-1) of the outgoing byte is
 0 mod 2^16 and the rolling update could no longer remove it.
@@ -26,9 +27,6 @@ from .errors import ConfigurationError
 MOD16 = 1 << 16
 MOD8 = 1 << 8
 MAX_Q = 8
-
-_MASK16 = MOD16 - 1
-_MASK8 = MOD8 - 1
 
 
 def check_q(q: int, m: int | None = None) -> None:
@@ -55,7 +53,7 @@ def fingerprint(bits: int) -> tuple[int, int]:
     any other ``bits`` raises :class:`ConfigurationError`."""
     if bits not in (16, 8):
         raise ConfigurationError(f"bits must be 8 or 16, got {bits}")
-    return (4, _MASK16) if bits == 16 else (2, _MASK8)
+    return (4, MOD16 - 1) if bits == 16 else (2, MOD8 - 1)
 
 
 def _hash_window(window: bytes, q: int, bits: int) -> int:

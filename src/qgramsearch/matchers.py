@@ -1,4 +1,4 @@
-"""Exact byte-string matchers.
+"""Exact byte-string matchers and the Python builders of their shift tables.
 
 Five matchers share one reporting convention (1-based, overlapping
 occurrences, sorted ascending):
@@ -16,6 +16,19 @@ occurrences, sorted ascending):
 ``MATCHERS`` maps each name to a runner with one signature and is the one
 list of algorithms that the CLI and the benchmark harness read.
 
+The shift tables: ``kmp`` and ``dist`` are lists indexed by 1-based
+pattern position, with a padding slot at index 0.  :func:`kmp_shift_table`
+builds ``kmp``, and :func:`hash_tables` is the one builder of ``hq`` and
+``dist`` (16-bit for the distance-shift matchers, 8-bit for hashq):
+
+* ``kmp``: the strong border shifts of the prefix-based matcher;
+* ``hq``: a dict from each pattern q-gram hash c to how far the window may
+  jump so that its suffix q-gram lines up with the rightmost pattern q-gram
+  hashing to c.  A hash no pattern q-gram has shifts by m - q + 1, so the
+  searches read ``hq.get(h, m - q + 1)``;
+* ``dist``: entry j is the smallest k >= 1 such that the q-gram ending at
+  j-k hashes like the one ending at j (capped at j-q+1 when none does).
+
 Every matcher except the naive one returns a :class:`SearchOutcome`.  Its
 :class:`SearchStats` counters are kept as plain integers in the search loop,
 each at the point where the counted event happens.  A :class:`SearchTrace`
@@ -24,15 +37,13 @@ is built only when the matcher is called with ``trace=True``; otherwise
 
 Untraced kmp, hashq, distq and ldistq searches run the compiled searches
 of ``_engine.c`` (see :mod:`qgramsearch.native`) once the pattern and q
-are validated.  Each builds its own shift tables from the pattern, returns
-the same occurrences and counters, and reads the caller's text in place
-(any C-contiguous bytes-like object).  The Python loops below copy the text
-to ``bytes`` and read the tables of the :mod:`~qgramsearch.preprocess`
-builders: ``kmp`` and ``dist`` lists, and an ``hq`` dict of the pattern's
-q-gram hashes, read with the default shift m - q + 1, so a search takes
-O(m) memory beyond its occurrences.  They run every traced search and every
-search when no compiled engine could be loaded, and are the reference the
-compiled searches are tested against.
+are validated.  Each builds the same tables from the pattern on every
+call, returns the same occurrences and counters, and reads the caller's
+text in place (any C-contiguous bytes-like object).  The Python loops below
+copy the text to ``bytes`` and read the tables built here, so a search
+takes O(m) memory beyond its occurrences.  They run every traced search
+and every search when no compiled engine could be loaded, and are the
+reference the compiled searches are tested against.
 
 A shift event is recorded (counted, and traced when asked) only when the
 pattern lands on an alignment that still fits inside the text (the trailing
@@ -44,15 +55,83 @@ alignment without moving it.
 
 from __future__ import annotations
 
-from .errors import ConfigurationError, _Record
-from .hashing import MOD16, _MASK8, _MASK16, check_q
+from .errors import ConfigurationError, _FrozenRecord, _Record
+from .hashing import check_q, fingerprint, qgram_hashes
 from .native import engine
-from .preprocess import PatternProfile, build_profile, hash_tables, \
-    kmp_shift_table
 
 SHIFT_HQ = "hq"
 SHIFT_DIST = "dist"
 SHIFT_KMP = "kmp"
+
+
+def kmp_shift_table(pattern: bytes) -> list[int]:
+    """Shift amounts j - strong_border(j) - 1, entries 1..m+1 (index 0 is
+    padding).
+
+    Entry j is how far the pattern slides after a mismatch at position j
+    (entry m+1: after a full match).  Every entry is in [1, j].  The strong
+    border of j <= m is the longest border k < j - 1 of P[1:j-1] with
+    P[k+1] != P[j] (-1 if none); that of m+1 is P's longest border < m.
+    One scan reads each strong border back from the shifts already filled.
+
+    >>> kmp_shift_table(b"aa")[1:]
+    [1, 2, 1]
+    """
+    pat = bytes(pattern)
+    m = len(pat)
+    if m == 0:
+        raise ConfigurationError("pattern must be non-empty")
+    ks = [0] * (m + 2)
+    ks[1] = 1
+    i, j = 0, -1  # 0-based scan position, strong border candidate length
+    while i < m:
+        while j > -1 and pat[i] != pat[j]:
+            j -= ks[j + 1]
+        i += 1
+        j += 1
+        ks[i + 1] = i - (j - ks[j + 1] if i < m and pat[i] == pat[j] else j)
+    return ks
+
+
+def hash_tables(pattern: bytes, q: int,
+                bits: int = 16) -> tuple[dict[int, int], list[int]]:
+    """``(hq, dist)`` for ``pattern`` from one ascending scan of its q-gram
+    hashes (O(mq) work, O(m) memory) once :func:`check_q` accepts
+    (pattern, q); ``bits`` (16 or 8) picks the :func:`fingerprint`."""
+    m = len(pattern)
+    check_q(q, m)
+    hs = qgram_hashes(pattern, q, bits)
+    hq: dict[int, int] = {}
+    get = hq.get
+    mq1 = m - q + 1
+    dist = [0] + [1] * (q - 1)  # padding, then inert entries below q
+    for j in range(q, m + 1):
+        h = hs[j]
+        # hq[h] is m - p for the last p < j with this hash; with none, the
+        # default m - q + 1 reads as p = q - 1
+        dist.append(j - (m - get(h, mq1)))
+        hq[h] = m - j
+    return hq, dist
+
+
+class PatternProfile(_FrozenRecord):
+    """A pattern, stored as ``bytes``, and its q-gram size, as the
+    distance-shift matchers take them once
+    :func:`~qgramsearch.hashing.check_q` accepts them.  A profile holds no
+    table: the searches build theirs from the pattern."""
+
+    def __init__(self, pattern: bytes, q: int):
+        pattern = bytes(pattern)
+        check_q(q, len(pattern))
+        fields = self.__dict__  # item writes: cheaper than update(**kwargs)
+        fields["pattern"] = pattern
+        fields["q"] = q
+
+
+def build_profile(pattern: bytes, q: int) -> PatternProfile:
+    """The :class:`PatternProfile` of ``pattern`` at q-gram size ``q``: O(m),
+    no table."""
+    return PatternProfile(pattern, q)
 
 
 class SearchStats(_Record):
@@ -178,6 +257,7 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
         return _compiled(engine.hashq(p, text, q))
     table, dist = hash_tables(p, q, 8)
     shift = table.get
+    base, mask = fingerprint(8)
     t = bytes(text)
     n, m = len(t), len(p)
     mq1 = m - q + 1  # the shift of a hash no pattern q-gram has
@@ -194,8 +274,8 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
         # qgram_hash8 of the window's suffix q-gram, inlined (see hashing.py)
         h = 0
         for c in t[k - q:k]:
-            h = h * 2 + c
-        h &= _MASK8
+            h = h * base + c
+        h &= mask
         reads += q
         if trace:
             log.hash_ends.append(k)
@@ -248,7 +328,8 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
     hq_tab, dist_tab = hash_tables(p, q)
     shift = hq_tab.get
     ks = kmp_shift_table(p)
-    pow4 = pow(4, q - 1, MOD16)  # weight of a window's leading byte
+    base, mask = fingerprint(16)
+    weight = pow(base, q - 1, mask + 1)  # of a window's leading byte
     mq1 = m - q + 1  # the shift of a hash no pattern q-gram has
 
     occ: list[int] = []
@@ -274,14 +355,14 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
                     h = last_h
                     # d single-byte steps; each consumes one new text byte
                     for s in range(d):
-                        h = ((h - pow4 * t[last_end - q + s]) * 4
-                             + t[last_end + s]) & _MASK16
+                        h = ((h - weight * t[last_end - q + s]) * base
+                             + t[last_end + s]) & mask
                     reads += d
                 else:
                     h = 0
                     for c in t[e - q:e]:
-                        h = h * 4 + c
-                    h &= _MASK16
+                        h = h * base + c
+                    h &= mask
                     reads += q
                 last_end = e
                 last_h = h

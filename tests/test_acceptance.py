@@ -22,7 +22,7 @@ from qgramsearch import (BenchSpec, CorpusSpec, EmbedSource, alphabet_bytes,
                          naive_search, qgram_hash16,
                          random_text_with_occurrences, run_benchmark)
 from qgramsearch.hashing import qgram_hashes
-from qgramsearch.preprocess import hash_tables
+from qgramsearch.matchers import hash_tables
 
 PATTERN = b"abaabbaaa"
 TEXT = b"abbaabbaababbabbaaabaabaabbaaa"

@@ -1,5 +1,6 @@
 import csv
 import io
+from functools import partial
 
 import pytest
 
@@ -95,7 +96,7 @@ SPEC_ERRORS = [
     (dict(algorithms=("kmp", "kmp")), "algorithm 'kmp' is listed twice"),
     # rows that no column tells apart, and an embed corpus's one pattern
     (dict(pattern_lengths=(8, 8)), "pattern length 8 is listed twice"),
-    (dict(source=EmbedSource(n=2000, sigma=4, occs=(3, 3)),
+    (dict(source=partial(EmbedSource, n=2000, sigma=4, occs=(3, 3)),
           patterns_per_length=1), "occ value 3 is listed twice"),
     (dict(source=EmbedSource(n=2000, sigma=4, occs=(3,))),
      "exactly one pattern per corpus"),
@@ -107,6 +108,35 @@ SPEC_ERRORS = [
     (dict(patterns_per_length=2.0),
      r"patterns_per_length must be an int, got 2\.0"),
     (dict(trials=None), "trials must be an int, got None"),
+    # a source checks its own fields (a partial builds it inside the test)
+    (dict(source=partial(FibonacciSource, "12")),
+     "k must be an int, got '12'"),
+    (dict(source=partial(FibonacciSource, 12.0)),
+     r"k must be an int, got 12\.0"),
+    (dict(source=partial(FibonacciSource, 41)), r"k must be in \[1, 40\]"),
+    (dict(source=partial(EmbedSource, n="100", sigma=4, occs=(1,))),
+     "n must be an int, got '100'"),
+    (dict(source=partial(EmbedSource, n=0, sigma=4, occs=(1,))),
+     "n must be >= 1, got 0"),
+    (dict(source=partial(EmbedSource, n=100, sigma=4.0, occs=(1,))),
+     r"sigma must be an int, got 4\.0"),
+    (dict(source=partial(EmbedSource, n=100, sigma=1, occs=(1,))),
+     r"sigma must be in \[2, 95\], got 1"),
+    (dict(source=partial(EmbedSource, n=100, sigma=4, occs=("1",))),
+     "occ value must be an int, got '1'"),
+    (dict(source=partial(EmbedSource, n=100, sigma=4, occs=1)),
+     "occs must be a tuple, got 1"),
+    (dict(source=partial(EmbedSource, n=100, sigma=4, occs=(1, -1))),
+     "occ value must be >= 0, got -1"),
+    (dict(source=partial(FileSource, 0)),
+     "path must be a str, bytes or os.PathLike, got 0"),
+    (dict(source=partial(FileSource, "t.txt", "yes")),
+     "strip_newlines must be a bool, got 'yes'"),
+    # a setting that is not a tuple, or a seed that is not an int
+    (dict(seed=[1]), r"seed must be an int, got \[1\]"),
+    (dict(qs=3), "q values must be a tuple, got 3"),
+    (dict(algorithms="kmp"), "algorithms must be a tuple, got 'kmp'"),
+    (dict(pattern_lengths=[8]), r"pattern lengths must be a tuple, got \[8\]"),
 ]
 
 
@@ -115,7 +145,9 @@ SPEC_ERRORS = [
     f"overrides{i}" for i in range(len(SPEC_ERRORS))])
 def test_spec_validation(overrides, message):
     with pytest.raises(ConfigurationError, match=message):
-        small_spec(**overrides)  # BenchSpec(...) itself, before any run
+        # the record constructors themselves, before any run
+        small_spec(**{name: value() if isinstance(value, partial) else value
+                      for name, value in overrides.items()})
 
 
 def test_embed_source_needs_occ_values():

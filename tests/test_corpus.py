@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -147,3 +149,17 @@ def test_load_text_raw_and_stripped(tmp_path):
 def test_load_text_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_text(tmp_path / "nope.bin")
+
+
+def test_load_text_refuses_what_is_not_a_path(tmp_path):
+    # open() would take an int as a file descriptor, read it and close it
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"ab")
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        for bad in (fd, 0, None, 2.5):
+            with pytest.raises(ConfigurationError, match="path must be a str"):
+                load_text(bad)
+        assert os.read(fd, 2) == b"ab"  # still open, and unread
+    finally:
+        os.close(fd)

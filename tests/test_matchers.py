@@ -8,7 +8,7 @@ from qgramsearch import ConfigurationError, PatternProfile, SearchStats, \
     build_profile, distq_search, fibonacci_string, hashq_search, \
     kmp_search, kmp_shift_table, ldistq_search, naive_search
 from qgramsearch.hashing import qgram_hashes
-from qgramsearch.preprocess import hash_tables
+from qgramsearch.matchers import hash_tables
 from oracles import dist_oracle, hash8_oracle, occurrences_oracle
 
 PATTERN = b"abaabbaaa"
@@ -317,9 +317,9 @@ def test_stats_are_plain_counters():
 
 
 def test_untraced_search_allocates_nothing_per_event():
-    # a 200 000-byte DNA-like text the pattern never occurs in: thousands of
+    # a 50 000-byte DNA-like text the pattern never occurs in: thousands of
     # shifts, first-byte probes and partial matches, but no occurrence list
-    text = bytes(random.Random(5).choices(b"acgt", k=200_000))
+    text = bytes(random.Random(5).choices(b"acgt", k=50_000))
     pattern = b"acgtacgx"
     prof = build_profile(pattern, 3)
     for search in (lambda: distq_search(text, prof),
@@ -331,5 +331,5 @@ def test_untraced_search_allocates_nothing_per_event():
         finally:
             tracemalloc.stop()
         assert out.occurrences == [] and out.trace is None
-        assert out.stats.windows > 10_000
-        assert peak < 64 * 1024, peak
+        assert out.stats.windows > 2_500
+        assert peak < 16 * 1024, peak

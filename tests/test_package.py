@@ -125,10 +125,30 @@ def _modules_after(code, tmp_path=None):
     return set(proc.stdout.splitlines()[-1].split())
 
 
-def test_importing_the_cli_loads_only_the_search_path():
+def _package_modules(loaded):
+    return {name for name in loaded if name.split(".")[0] == "qgramsearch"}
+
+
+# the package modules a literal search loads; the compiled engine is one
+# of them where it could be built
+SEARCH_PATH = {"qgramsearch", "qgramsearch.cli", "qgramsearch.errors",
+               "qgramsearch.hashing", "qgramsearch.matchers",
+               "qgramsearch.native"} | (
+    {"qgramsearch._engine"} if qgramsearch.ENGINE == "c" else set())
+
+
+def test_importing_the_cli_loads_only_the_search_path(tmp_path):
     loaded = _modules_after("import qgramsearch.cli")
     assert loaded & {"qgramsearch.bench", "qgramsearch.corpus", "csv",
                      "random", "dataclasses", "inspect", "array"} == set()
+    search = "from qgramsearch import cli\nassert cli.main(['search', {}]) == 0"
+    loaded = _modules_after(search.format(
+        "'--text', 'abcabc', '--pattern', 'bc'"))
+    assert _package_modules(loaded) == SEARCH_PATH
+    (tmp_path / "t").write_bytes(b"abcabc")
+    loaded = _modules_after(search.format(
+        "'--text-file', 't', '--pattern', 'bc'"), tmp_path)
+    assert _package_modules(loaded) == SEARCH_PATH | {"qgramsearch.corpus"}
 
 
 def test_a_file_search_loads_no_harness(tmp_path):
@@ -210,7 +230,9 @@ READ_ONLY_TYPES = (qgramsearch.PatternProfile, qgramsearch.CorpusSpec,
                    qgramsearch.BenchSpec, qgramsearch.ReportRow)
 READ_ONLY = [r for r in RECORDS if r[0] in READ_ONLY_TYPES]
 # another value of the last field, valid where the record validates it
-OTHER_LAST = {qgramsearch.PatternProfile: 2}
+OTHER_LAST = {qgramsearch.PatternProfile: 2, qgramsearch.FileSource: False,
+              qgramsearch.FibonacciSource: 16, qgramsearch.EmbedSource: (1,),
+              qgramsearch.BenchSpec: 6}
 
 
 @pytest.mark.parametrize("record, fields, values, text", RECORDS,
@@ -268,6 +290,9 @@ def test_record_defaults():
     ((10, 4, 0, 0, 0), "m must be >= 1, got 0"),
     ((10, 4, 2, -1, 0), "occ must be >= 0, got -1"),
     ((10, 4, 4, 3, 0), "occ*m = 12 exceeds n = 10"),
+    (("10", 4, 2, 0, 0), "n must be an int, got '10'"),
+    ((10, 4.0, 2, 0, 0), "sigma must be an int, got 4.0"),
+    ((10, 4, 2, None, 0), "occ must be an int, got None"),
 ])
 def test_corpus_spec_validation_messages(values, message):
     with pytest.raises(qgramsearch.ConfigurationError) as info:
