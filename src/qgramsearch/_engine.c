@@ -1,28 +1,20 @@
 /* Compiled counting loops of kmp_search, hashq_search and _distq_core.
- * Each ports the untraced branch of its Python function line for line and
- * returns (occurrences, counters in SearchStats field order).  Each builds
- * the shift tables it reads from the pattern, by the algorithms of
- * kmp_shift_table and hash_tables in matchers.py, so no table crosses
- * from Python: a search takes the pattern and the text (both read through
- * the buffer protocol), and q and rolling where it needs them.  Unsigned
- * 32-bit hashes masked to 16 or 8 bits equal the Python polynomials mod
- * 2^16 or 2^8.  Three things differ from the Python loops in form only:
- * hashq and distq verify a window 8 bytes at a time (agree), while
- * char_comparisons still counts byte tests, the bytes matched plus the
- * failing one; the searches store positions in a block on the C stack,
- * which becomes ints outside the loops (add, flush); and distq, once an
- * alignment step has taken the full shift m - q + 1, hashes the next two
- * windows at once and takes both full shifts when both are clean, so the
- * second load does not wait for the first.  A pair adds to every counter
- * what its two single steps add, and sets the rolling cache to the second
- * window, whose hash a roll would have given too; the shifts, and so the
- * windows a traced Python run records, are the same.  The pair loop is
- * entered only after a full shift: there the last window hashed ends
- * m - q + 1 bytes before the next, so each step of a pair reads what a
- * single step would (at the start of an alignment phase the distance to
- * the last window varies), and a clean window is likely to be followed by
- * more.  The word compare is written for little-endian and picks clz on a
- * big-endian build at compile time; only little-endian was tested. */
+ * Each returns what the untraced branch of its Python function returns:
+ * (occurrences, counters in SearchStats field order).  Each builds the
+ * shift tables it reads from the pattern, by the algorithms of
+ * kmp_shift_table and hash_tables in matchers.py, so no table crosses from
+ * Python: a search takes the pattern and the text (both read through the
+ * buffer protocol), and q and rolling where it needs them.  Unsigned 32-bit
+ * hashes masked to 16 or 8 bits equal the Python polynomials mod 2^16 or
+ * 2^8.  Three things differ from the Python loops in form only: hashq and
+ * distq verify a window 8 bytes at a time (agree), while char_comparisons
+ * still counts byte tests, the bytes matched plus the failing one; the
+ * searches store positions in a block on the C stack, which becomes ints
+ * outside the loops (add, flush); and hashq and distq share one alignment
+ * step (align), which takes a full shift without waiting for its table
+ * load and then hashes two windows at once.  The word compare is written
+ * for little-endian and picks clz on a big-endian build at compile time;
+ * only little-endian was tested. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -30,19 +22,15 @@
 
 typedef long long i64;
 
-/* The 16-bit hq table of the pattern being scanned, kept as its complement:
- * entry h is m - q + 1 - hq[h], that is p - q + 1 for the rightmost pattern
- * q-gram ending at p that hashes to h, and 0 ("clean") when none does.  A
- * call sets the entries of its pattern's q-grams and clears them before it
- * releases any buffer, on every path, holding the GIL throughout (no Python
- * code runs in between: list appends and int creation never start the GC).
- * So HQ is all clean between calls, and a search touches O(m) of it. */
+/* The 16-bit hq table of the pattern being scanned, kept as its complement
+ * (as is hashq's 8-bit one, on its stack): entry h is m - q + 1 - hq[h],
+ * that is p - q + 1 for the rightmost pattern q-gram ending at p that hashes
+ * to h, and 0 ("clean") when none does.  A distq call sets the entries of
+ * its pattern's q-grams and clears them before it releases any buffer, on
+ * every path, holding the GIL throughout (no Python code runs in between:
+ * list appends and int creation never start the GC).  So HQ is all clean
+ * between calls, and a search touches O(m) of it. */
 static uint32_t HQ[65536];
-static uint32_t *kmp_fill(const unsigned char *P, Py_ssize_t m,
-                          Py_ssize_t extra);
-static uint32_t qgram(const unsigned char *P, Py_ssize_t j, int q, int bits);
-static void scan(const unsigned char *P, Py_ssize_t m, int q, uint32_t *dist);
-static void clear(const unsigned char *P, Py_ssize_t m, int q);
 
 /* Where the hot loops sit.  kmp starts on a 64-byte boundary with every
  * label on a 16-byte one (PLACED); in hashq and distq each loop and each
@@ -162,186 +150,6 @@ static PyObject *result(Args *a, int ok, i64 cmps, i64 fchecks, i64 reads,
                          dist_n, kmp_n, windows);
 }
 
-PLACED static PyObject *kmp(PyObject *self, PyObject *args) {
-    Args a;
-    init(&a);
-    const uint32_t *ks;
-    if (!PyArg_ParseTuple(args, "y*y*", &a.p, &a.t))
-        return NULL;
-    const unsigned char *P = a.p.buf, *T = a.t.buf;
-    Py_ssize_t n = a.t.len, m = a.p.len, i = 1, j = 1;
-    i64 cmps = 0, kmp_n = 0;
-    int ok = (m > 0 || fail("pattern must be non-empty"))
-        && (ks = a.tab = kmp_fill(P, m, 0)) != NULL
-        && (a.occ = PyList_New(0)) != NULL;
-    if (!ok || n < m)
-        return result(&a, ok, 0, 0, 0, 0, 0, 0, 0);
-    Py_ssize_t last_start = n - m + 1;  /* rightmost alignment that fits */
-    while (ok) {
-        if (j == 0) {  /* resume at the next text byte */
-            i++, j = 1;
-            continue;
-        }
-        cmps++;
-        if (P[j - 1] == T[i - 1]) {
-            i++, j++;
-            if (j <= m)
-                continue;
-            ok = add(&a, i - m);
-        }
-        j -= ks[j];
-        if (i - j + 1 > last_start)
-            break;
-        kmp_n++;
-    }
-    return result(&a, ok, cmps, 0, 0, 0, 0, kmp_n, 1 + kmp_n);
-}
-
-LOOPS_PLACED static PyObject *hashq(PyObject *self, PyObject *args) {
-    Args a;
-    init(&a);
-    uint32_t hq[256];
-    int q;
-    if (!PyArg_ParseTuple(args, "y*y*i", &a.p, &a.t, &q))
-        return NULL;
-    const unsigned char *P = a.p.buf, *T = a.t.buf;
-    Py_ssize_t n = a.t.len, m = a.p.len, k = m, s, j, adv = 0;
-    i64 cmps = 0, reads = 0, hq_n = 0, dist_n = 0, windows = n >= m;
-    int ok = q_ok(q, m) && fits(m) && (a.occ = PyList_New(0)) != NULL;
-    if (ok) {
-        /* hash_tables(P, q, 8): the scan reads dist[m], the constant
-         * advance after a comparison, as hq's entry for P's last q-gram
-         * just before it records that q-gram */
-        for (s = 0; s < 256; s++)
-            hq[s] = m - q + 1;
-        for (j = q; j <= m; j++) {
-            uint32_t *e = &hq[qgram(P, j, q, 8)];
-            adv = *e, *e = m - j;
-        }
-    }
-    while (ok && k <= n) {
-        uint32_t h = 0, sh;
-        for (s = k - q; s < k; s++)
-            h = h * 2 + T[s];
-        reads += q;
-        sh = hq[h & 0xFF];
-        k += sh;
-        if (k > n)
-            break;
-        hq_n++;
-        if (sh) {
-            windows++;
-            continue;
-        }
-        Py_ssize_t start = k - m;  /* 0-based window start */
-        j = agree(P, T + start, 0, m);
-        cmps += j;
-        if (j < m)
-            cmps++;  /* the failing test */
-        else
-            ok = add(&a, start + 1);
-        k += adv;  /* constant advance after a comparison */
-        if (k <= n)
-            dist_n++, windows++;
-    }
-    return result(&a, ok, cmps, 0, reads, hq_n, dist_n, 0, windows);
-}
-
-LOOPS_PLACED static PyObject *distq(PyObject *self, PyObject *args) {
-    Args a;
-    init(&a);
-    uint32_t *ks, *dist = NULL;
-    int q, rolling;
-    if (!PyArg_ParseTuple(args, "y*y*ip", &a.p, &a.t, &q, &rolling))
-        return NULL;
-    const unsigned char *P = a.p.buf, *T = a.t.buf;
-    Py_ssize_t n = a.t.len, m = a.p.len, s, d;
-    i64 cmps = 0, fchecks = 0, reads = 0, hq_n = 0, dist_n = 0, kmp_n = 0;
-    i64 windows = n >= m;  /* the first alignment, if it fits */
-    int ok = q_ok(q, m)
-        && (ks = a.tab = kmp_fill(P, m, m + 1)) != NULL
-        && (a.occ = PyList_New(0)) != NULL;
-    int marked = ok;  /* HQ holds this pattern's entries until clear() */
-    if (marked)
-        scan(P, m, q, dist = ks + m + 2);
-    uint32_t pow4 = 1, h, sh = 0, last_h = 0;
-    for (s = 1; ok && s < q; s++)
-        pow4 *= 4;  /* weight of a window's leading byte */
-    Py_ssize_t mq1 = m - q + 1, i = 1, j = 1, k = m, pos = m, last_end = -1;
-    while (ok && k <= n) {
-        int hashed = j <= 1;
-        if (hashed) {
-            /* alignment phase: hash until a shift aligns a q-gram of p */
-            for (;;) {
-                Py_ssize_t e = k;
-                if (rolling && e - last_end >= 0 && e - last_end < q) {
-                    d = e - last_end;
-                    h = last_h;
-                    for (s = 0; s < d; s++)  /* each step reads one byte */
-                        h = ((h - pow4 * T[last_end - q + s]) * 4
-                             + T[last_end + s]) & 0xFFFF;
-                    reads += d;
-                } else {
-                    h = qgram(T, e, q, 16);
-                    reads += q;
-                }
-                last_end = e, last_h = h;
-                sh = mq1 - HQ[h];  /* in [0, m - q + 1]: pos = m - sh >= 0 */
-                k += sh;
-                if (k > n)
-                    break;
-                hq_n++;
-                if (sh)
-                    windows++;
-                if (sh != mq1)
-                    break;  /* some pattern q-gram hashes like this one */
-                /* full shifts two at a time while both windows are clean
-                 * and both shifts stay in the text; k - last_end is mq1
-                 * here, so a step of a pair rolls mq1 bytes when mq1 < q */
-                while (k + 2 * mq1 <= n) {
-                    uint32_t h1 = qgram(T, k, q, 16),
-                             h2 = qgram(T, k + mq1, q, 16);
-                    if (HQ[h1] | HQ[h2])
-                        break;
-                    last_end = k + mq1, last_h = h2;
-                    k += 2 * mq1;
-                    hq_n += 2, windows += 2;
-                    reads += 2 * (rolling && mq1 < q ? mq1 : q);
-                }
-            }
-            if (k > n)
-                break;  /* window left the text */
-            pos = m - sh;
-            fchecks++;  /* the extend loop's first test */
-            j = 1, i = k - m + 1;
-        }
-        /* comparison or border phase, then a dist-or-kmp or kmp shift */
-        d = agree(P, T + (i - j), j - 1, m) - (j - 1);
-        cmps += d, i += d, j += d;
-        if (j <= m)
-            cmps++;  /* the failing test */
-        else
-            ok = add(&a, i - m);
-        Py_ssize_t amt = ks[j];
-        int is_dist = 0;
-        if (hashed && (d = dist[pos]) >= j - 1 && d >= amt)
-            amt = d, is_dist = 1;
-        j -= amt;
-        k = i + m - j;
-        if (k <= n) {
-            windows++;  /* dist and kmp shifts are >= 1 */
-            if (is_dist)
-                dist_n++;
-            else
-                kmp_n++;
-        }
-    }
-    if (marked)
-        clear(P, m, q);
-    return result(&a, ok, cmps - fchecks, fchecks, reads, hq_n, dist_n,
-                  kmp_n, windows);
-}
-
 /* A new buffer whose first m + 2 entries are kmp_shift_table(P), followed
  * by `extra` entries for the caller; NULL with an error set.  It comes from
  * the C allocator, not Python's pools, so AddressSanitizer guards every
@@ -377,23 +185,211 @@ static uint32_t qgram(const unsigned char *P, Py_ssize_t j, int q, int bits) {
     return h & (bits == 16 ? 0xFFFF : 0xFF);
 }
 
-/* The one scan of hash_tables(P, q) over the q-grams of P ending at
- * j = q..m, ascending, through HQ: v = HQ[h] is p - q + 1 for the previous
- * p with hash h, or 0 for the virtual p = q - 1, so dist[j] = j - p =
- * j - q + 1 - v, and then HQ[h] records p = j.  dist[0..q-1] are left
- * unset: distq reads dist[pos] only at pos >= q. */
-static void scan(const unsigned char *P, Py_ssize_t m, int q, uint32_t *dist) {
+/* The one scan of hash_tables(P, q, bits) over the q-grams of P ending at
+ * j = q..m, ascending, through tab, a table kept as HQ is: v = tab[h] is
+ * p - q + 1 for the previous p with hash h, or 0 for the virtual p = q - 1,
+ * so dist[j] = j - p = j - q + 1 - v, and then tab[h] records p = j.
+ * dist[0..q-1] are left unset (distq reads dist[pos] only at pos >= q), and
+ * no entry when dist is NULL; returns dist[m]. */
+static uint32_t scan(const unsigned char *P, Py_ssize_t m, int q, int bits,
+                     uint32_t *tab, uint32_t *dist) {
+    uint32_t d = 0;
     for (Py_ssize_t j = q; j <= m; j++) {
-        uint32_t *e = &HQ[qgram(P, j, q, 16)];
-        dist[j] = j - q + 1 - *e;
+        uint32_t *e = &tab[qgram(P, j, q, bits)];
+        d = j - q + 1 - *e;
+        if (dist)
+            dist[j] = d;
         *e = j - q + 1;
     }
+    return d;
 }
 
-/* Clean the HQ entries that scan() set for the q-grams of P. */
-static void clear(const unsigned char *P, Py_ssize_t m, int q) {
-    for (Py_ssize_t j = q; j <= m; j++)
-        HQ[qgram(P, j, q, 16)] = 0;
+PLACED static PyObject *kmp(PyObject *self, PyObject *args) {
+    Args a;
+    init(&a);
+    const uint32_t *ks;
+    if (!PyArg_ParseTuple(args, "y*y*", &a.p, &a.t))
+        return NULL;
+    const unsigned char *P = a.p.buf, *T = a.t.buf;
+    Py_ssize_t n = a.t.len, m = a.p.len, i = 1, j = 1;
+    i64 cmps = 0, kmp_n = 0;
+    int ok = (m > 0 || fail("pattern must be non-empty"))
+        && (ks = a.tab = kmp_fill(P, m, 0)) != NULL
+        && (a.occ = PyList_New(0)) != NULL;
+    if (!ok || n < m)
+        return result(&a, ok, 0, 0, 0, 0, 0, 0, 0);
+    Py_ssize_t last_start = n - m + 1;  /* rightmost alignment that fits */
+    while (ok) {
+        if (j == 0) {  /* resume at the next text byte */
+            i++, j = 1;
+            continue;
+        }
+        cmps++;
+        if (P[j - 1] == T[i - 1]) {
+            i++, j++;
+            if (j <= m)
+                continue;
+            ok = add(&a, i - m);
+        }
+        j -= ks[j];
+        if (i - j + 1 > last_start)
+            break;
+        kmp_n++;
+    }
+    return result(&a, ok, cmps, 0, 0, 0, 0, kmp_n, 1 + kmp_n);
+}
+
+/* The alignment phase of a hashq (lo = 1) or distq (lo = m - q + 1) search
+ * in s: from the window ending at s->k, hash (rolled from the last window
+ * hashed when `rolling` and that ends under q bytes back), shift by
+ * m - q + 1 - tab[h] (tab kept as HQ is, at `bits` bits) and count, while
+ * the shift is at least lo; return the last shift, with s->k past n if the
+ * window left the text.  A clean window takes the full shift on a branch,
+ * so the next hash does not wait for the table load, and the step then
+ * hashes the next two windows at once, each reading what a single step
+ * would (q bytes, or m - q + 1 rolled): a clean first window is a full
+ * shift to the second, whose hash makes the next step, and a dirty one
+ * makes it itself.  So no hash is made twice, the shifts and counters are
+ * those of single steps (and of a traced Python run), and the rolling
+ * cache holds a window's hash that a roll would have given too.  The
+ * callers count windows as SearchStats defines them, from the recorded
+ * shifts: (n >= m) + hq_n - zeros + dist_n + kmp_n. */
+typedef struct {
+    Py_ssize_t k, last_end;  /* window end; end of the last window hashed */
+    uint32_t last_h;         /* and its hash */
+    i64 reads, hq_n, zeros;  /* zeros: recorded hash shifts of amount 0 */
+} Align;
+
+static inline __attribute__((always_inline)) uint32_t align(
+        Align *s, const unsigned char *T, Py_ssize_t n, int q, int bits,
+        const uint32_t *tab, Py_ssize_t mq1, Py_ssize_t lo, int rolling) {
+    Py_ssize_t k = s->k, d, x, pr = rolling && mq1 < q ? mq1 : q;
+    uint32_t h, h2, sh, b = bits == 16 ? 4 : 2;  /* as in qgram() */
+    uint32_t mask = bits == 16 ? 0xFFFF : 0xFF, pow4 = 1u << 2 * (q - 1);
+    for (;;) {
+        d = k - s->last_end;
+        /* each roll drops the leading byte, of weight pow4, and reads one */
+        if (rolling && d >= 0 && d < q)
+            for (h = s->last_h, x = k - d; x < k; x++)
+                h = ((h - pow4 * T[x - q]) * 4 + T[x]) & 0xFFFF;
+        else
+            h = qgram(T, k, q, bits), d = q;
+        s->reads += d;
+    step:  /* h is the hash of the window ending at k */
+        s->last_end = k, s->last_h = h;
+        k += mq1, sh = mq1 - tab[h];  /* k + sh: k + mq1 waits for no load */
+        if (tab[h]) {  /* some pattern q-gram hashes like this one */
+            k -= tab[h];
+            if (k > n)
+                break;
+            s->hq_n++, s->zeros += !sh;
+            if (sh < lo)
+                break;
+            continue;
+        }
+        if (k > n)
+            break;
+        s->hq_n++;
+        if (k + mq1 > n)
+            continue;  /* no second window */
+        for (h = h2 = 0, x = k - q; x < k; x++)  /* the next two windows */
+            h = h * b + T[x], h2 = h2 * b + T[x + mq1];
+        h &= mask, h2 &= mask;
+        s->reads += pr;
+        if (!tab[h])  /* a full shift to the second */
+            k += mq1, s->hq_n++, s->reads += pr, h = h2;
+        goto step;
+    }
+    s->k = k;
+    return sh;
+}
+
+LOOPS_PLACED static PyObject *hashq(PyObject *self, PyObject *args) {
+    Args a;
+    init(&a);
+    uint32_t tab[256] = {0};
+    int q;
+    if (!PyArg_ParseTuple(args, "y*y*i", &a.p, &a.t, &q))
+        return NULL;
+    const unsigned char *P = a.p.buf, *T = a.t.buf;
+    Py_ssize_t n = a.t.len, m = a.p.len, j, adv = 0;
+    i64 cmps = 0, dist_n = 0;
+    Align al = {m, -1, 0, 0, 0, 0};  /* the first window ends at m */
+    int ok = q_ok(q, m) && fits(m) && (a.occ = PyList_New(0)) != NULL;
+    if (ok)  /* hash_tables(P, q, 8), and dist[m], the constant advance */
+        adv = scan(P, m, q, 8, tab, NULL);
+    while (ok && al.k <= n) {
+        align(&al, T, n, q, 8, tab, m - q + 1, 1, 0);
+        if (al.k > n)
+            break;
+        Py_ssize_t start = al.k - m;  /* 0-based window start */
+        j = agree(P, T + start, 0, m);
+        cmps += j;
+        if (j < m)
+            cmps++;  /* the failing test */
+        else
+            ok = add(&a, start + 1);
+        al.k += adv;  /* constant advance after a comparison */
+        if (al.k <= n)
+            dist_n++;
+    }
+    return result(&a, ok, cmps, 0, al.reads, al.hq_n, dist_n, 0,
+                  (n >= m) + al.hq_n - al.zeros + dist_n);
+}
+
+LOOPS_PLACED static PyObject *distq(PyObject *self, PyObject *args) {
+    Args a;
+    init(&a);
+    uint32_t *ks, *dist = NULL;
+    int q, rolling;
+    if (!PyArg_ParseTuple(args, "y*y*ip", &a.p, &a.t, &q, &rolling))
+        return NULL;
+    const unsigned char *P = a.p.buf, *T = a.t.buf;
+    Py_ssize_t n = a.t.len, m = a.p.len, d;
+    i64 cmps = 0, fchecks = 0, dist_n = 0, kmp_n = 0;
+    Align al = {m, -1, 0, 0, 0, 0};
+    int ok = q_ok(q, m)
+        && (ks = a.tab = kmp_fill(P, m, m + 1)) != NULL
+        && (a.occ = PyList_New(0)) != NULL;
+    int marked = ok;  /* HQ holds this pattern's entries until cleaned */
+    if (marked)
+        scan(P, m, q, 16, HQ, dist = ks + m + 2);
+    Py_ssize_t mq1 = m - q + 1, i = 1, j = 1, pos = m;
+    while (ok && al.k <= n) {
+        int hashed = j <= 1;
+        if (hashed) {
+            /* alignment phase: hash until a shift aligns a q-gram of p */
+            uint32_t sh = align(&al, T, n, q, 16, HQ, mq1, mq1, rolling);
+            if (al.k > n)
+                break;  /* window left the text */
+            pos = m - sh;
+            fchecks++;  /* the extend loop's first test */
+            j = 1, i = al.k - m + 1;
+        }
+        /* comparison or border phase, then a dist-or-kmp or kmp shift */
+        d = agree(P, T + (i - j), j - 1, m) - (j - 1);
+        cmps += d, i += d, j += d;
+        if (j <= m)
+            cmps++;  /* the failing test */
+        else
+            ok = add(&a, i - m);
+        Py_ssize_t amt = ks[j];
+        int is_dist = 0;
+        if (hashed && (d = dist[pos]) >= j - 1 && d >= amt)
+            amt = d, is_dist = 1;
+        j -= amt;
+        al.k = i + m - j;
+        if (al.k <= n) {
+            if (is_dist)
+                dist_n++;
+            else
+                kmp_n++;
+        }
+    }
+    for (Py_ssize_t x = q; marked && x <= m; x++)  /* clean what scan set */
+        HQ[qgram(P, x, q, 16)] = 0;
+    return result(&a, ok, cmps - fchecks, fchecks, al.reads, al.hq_n, dist_n,
+                  kmp_n, (n >= m) + al.hq_n - al.zeros + dist_n + kmp_n);
 }
 
 static PyMethodDef methods[] = {

@@ -112,6 +112,9 @@ class BenchSpec(_FrozenRecord):
             raise ConfigurationError(
                 "an embed source has exactly one pattern per corpus, got "
                 f"patterns_per_length={patterns_per_length}")
+        if isinstance(source, EmbedSource):  # CorpusSpec's checks, up front
+            CorpusSpec(n=source.n, sigma=source.sigma, m=max(pattern_lengths),
+                       occ=max(source.occs), seed=0)
         _require_ints("repetitions", repetitions, least=1)
         _require_ints("trials", trials, least=1)
         _require_ints("seed", seed)

@@ -137,6 +137,10 @@ SPEC_ERRORS = [
     (dict(qs=3), "q values must be a tuple, got 3"),
     (dict(algorithms="kmp"), "algorithms must be a tuple, got 'kmp'"),
     (dict(pattern_lengths=[8]), r"pattern lengths must be a tuple, got \[8\]"),
+    # CorpusSpec's rule for the largest corpus, before the occ=1 cell runs
+    (dict(source=EmbedSource(n=100, sigma=4, occs=(1, 30)),
+          pattern_lengths=(4,), patterns_per_length=1),
+     r"occ\*m = 120 exceeds n = 100"),
 ]
 
 

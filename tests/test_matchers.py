@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from qgramsearch import ConfigurationError, PatternProfile, SearchStats, \
     build_profile, distq_search, fibonacci_string, hashq_search, \
-    kmp_search, kmp_shift_table, ldistq_search, naive_search
+    kmp_search, kmp_shift_table, ldistq_search, matchers, naive_search
 from qgramsearch.hashing import qgram_hashes
-from qgramsearch.matchers import hash_tables
+from qgramsearch.matchers import MATCHERS, hash_tables
 from oracles import dist_oracle, hash8_oracle, occurrences_oracle
 
 PATTERN = b"abaabbaaa"
@@ -82,6 +82,35 @@ def test_kmp_periodic_text_comparison_bound():
     out = kmp_search(b"a" * 100, b"aa")
     assert out.occurrences == list(range(1, 100))
     assert out.stats.char_comparisons <= 200
+
+
+# Worst cases for the 2n comparison bound, from a hill-climb over texts of
+# up to four letters: each reaches 1.9n or more, so a counter that stopped
+# counting, or counted twice, shows, and each pins every counter on both
+# engines.  kmp tests each b twice, as b and as a; distq and ldistq align
+# the opening bbab with one hash shift and walk the run of b with border
+# shifts, testing each b about twice too.
+WORST_CASES = [
+    ("kmp", b"b" * 41 + b"a", b"ba", 0, [41], SearchStats(
+        char_comparisons=82, kmp_shifts=40, windows=41)),
+    *((algo, b"bbab" + b"b" * 77 + b"ab", b"bbab", 2, [1, 80], SearchStats(
+        char_comparisons=158, first_char_checks=1, hashed_char_reads=2,
+        hq_shifts=1, kmp_shifts=77, windows=78))
+      for algo in ("distq", "ldistq")),
+]
+
+
+@pytest.mark.parametrize("algo, text, pattern, q, occurrences, stats",
+                         WORST_CASES, ids=[case[0] for case in WORST_CASES])
+def test_worst_cases_come_within_10_percent_of_2n(monkeypatch, algo, text,
+                                                  pattern, q, occurrences,
+                                                  stats):
+    run = MATCHERS[algo][0]
+    compiled = run(text, pattern, q)  # the Python loops where none loaded
+    monkeypatch.setattr(matchers, "engine", None)
+    for out in (compiled, run(text, pattern, q)):
+        assert (out.occurrences, out.stats) == (occurrences, stats)
+    assert 1.8 * len(text) <= stats.char_comparisons <= 2 * len(text)
 
 
 def test_kmp_text_shorter_than_pattern():

@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 import qgramsearch
 from qgramsearch import ConfigurationError, PatternProfile, build_profile, \
     fibonacci_string, matchers, native
+from qgramsearch.hashing import qgram_hash8, qgram_hashes
 from qgramsearch.matchers import MATCHERS
 
 SOURCE = pathlib.Path(native.__file__).with_name("_engine.c")
@@ -230,31 +231,45 @@ def test_searches_read_only_the_slices_they_are_given(m):
 @pytest.mark.parametrize("m, q", [(1, 1), (3, 3), (8, 8), (5, 4), (10, 8),
                                   (6, 3), (24, 8)])
 def test_pairs_of_full_shifts_count_like_single_steps(m, q):
-    # After a full shift m - q + 1, the compiled distq takes full shifts two
-    # at a time while both windows are clean and both shifts stay in the
-    # text.  Pattern q-gram hashes are 1 or 2 mod 4 (the last byte is a or
-    # b) and filler ones 0 mod 4, so every filler window is clean.  With n
-    # from m to m + 3(m - q + 1) + q the last pair ends at n, at n - 1 and
-    # short of n; q = m steps by 1, and m < 2q - 1 rolls by under q bytes in
-    # ldistq.  A pattern q-gram ends a run of 1 to 3 clean windows, or one
-    # byte past it.  Each text is a slice between pattern bytes.
+    # After a full shift m - q + 1, the compiled hashq and distq hash the
+    # next two windows at once: a clean first window is a full shift to the
+    # second, whose hash makes the next step, and a dirty one makes it
+    # itself.  From the window ending at m, the pairs end at m + (1, 2)
+    # (m - q + 1), then m + (3, 4)(m - q + 1).  A pattern q-gram put at the
+    # first or the second window of either pair, at both windows of the
+    # first, or one byte past one, fails that pair there, with a zero shift
+    # or a shorter one.  Filler windows are clean under both fingerprints
+    # (asserted): bytes z and z + 128, z a multiple of 4, hash to 0 mod 4 in
+    # base 4, where a and b end in 1 and 2, and to one of two values in base
+    # 2 mod 256, which z keeps off the pattern's.  With n from m to
+    # m + 4(m - q + 1) + q the last pair ends at n, at n - 1 and short of n;
+    # q = m steps by 1, and m < 2q - 1 rolls by under q bytes in ldistq.
+    # Each text is a slice between pattern bytes.
     rng = random.Random(m * 10 + q)
     p = bytes(rng.choices(b"ab", k=m))
     mq1 = m - q + 1
-    for n in range(m, m + 3 * mq1 + q + 1):
-        filler = bytes(rng.choices(b"\x00\x04\x08", k=n))
+    grams = {bits: set(qgram_hashes(p, q, bits)[q:]) for bits in (16, 8)}
+    z = next(z for z in range(0, 128, 4) if not grams[8] & {
+        qgram_hash8(bytes([z] * (q - 1) + [end]), q) for end in (z, z + 128)})
+    puts = [[m + run * mq1 + off] for run in (1, 2, 3, 4) for off in (0, 1)]
+    puts.append([m + mq1, m + 2 * mq1])
+    for n in range(m, m + 4 * mq1 + q + 1):
+        filler = bytes(rng.choices((z, z + 128), k=n))
+        for bits, hashes in grams.items():
+            assert not hashes & set(qgram_hashes(filler, q, bits)[q:])
         texts = [filler]
-        for end in sorted({m + run * mq1 + off for run in (1, 2, 3)
-                           for off in (0, 1)}):
-            if end <= n:
-                j = rng.randint(q, m)
-                texts.append(filler[:end - q] + p[j - q:j] + filler[end:])
+        for ends in [ends for ends in puts if max(ends) <= n]:
+            for j in {m, rng.randint(q, m)}:  # a zero shift, or a shorter one
+                t = bytearray(filler)
+                for end in ends:
+                    t[end - q:end] = p[j - q:j]
+                texts.append(bytes(t))
         for t in texts:
             text = memoryview(p + t + p)[m:m + n]
-            for rolling in (False, True):
-                assert native.engine.distq(p, text, q, rolling) == \
-                    _python_loop("distq", [p, t, q, rolling]), \
-                    (p, t, q, rolling)
+            for name, args in (("hashq", [q]), ("distq", [q, False]),
+                               ("distq", [q, True])):
+                assert getattr(native.engine, name)(p, text, *args) == \
+                    _python_loop(name, [p, t, *args]), (name, p, t, args)
 
 
 def _distq_both(text, pattern, q):
