@@ -1,20 +1,25 @@
-/* Compiled counting loops of kmp_search, hashq_search and _distq_core.
- * Each returns what the untraced branch of its Python function returns:
- * (occurrences, counters in SearchStats field order).  Each builds the
- * shift tables it reads from the pattern, by the algorithms of
+/* Four entry points: the compiled counting loops of kmp_search, hashq_search
+ * and _distq_core, and bind(), which matchers.py calls once with the
+ * SearchOutcome and SearchStats classes and the SearchStats field names.  Each
+ * search takes its arguments as a vector (METH_FASTCALL; take) and returns
+ * what the untraced branch of its Python function returns, the finished
+ * SearchOutcome, made without __init__ (result); before bind() it raises.  An
+ * empty-text distq call and its records so take 0.7 us, not 1.4 (0.6 parsing a
+ * format and building a tuple, 0.7 in Python's __init__s).  Each search builds
+ * the shift tables it reads from the pattern, by the algorithms of
  * kmp_shift_table and hash_tables in matchers.py, so no table crosses from
  * Python: a search takes the pattern and the text (both read through the
  * buffer protocol), and q and rolling where it needs them.  Unsigned 32-bit
- * hashes masked to 16 or 8 bits equal the Python polynomials mod 2^16 or
- * 2^8.  Three things differ from the Python loops in form only: hashq and
- * distq verify a window 8 bytes at a time (agree), while char_comparisons
- * still counts byte tests, the bytes matched plus the failing one; the
- * searches store positions in a block on the C stack, which becomes ints
- * outside the loops (add, flush); and hashq and distq share one alignment
- * step (align), which takes a full shift without waiting for its table
- * load and then hashes two windows at once.  The word compare is written
- * for little-endian and picks clz on a big-endian build at compile time;
- * only little-endian was tested. */
+ * hashes masked to 16 or 8 bits equal the Python polynomials mod 2^16 or 2^8.
+ * Three things differ from the Python loops in form only: hashq and distq
+ * verify a window 8 bytes at a time (agree), while char_comparisons still
+ * counts byte tests, the bytes matched plus the failing one; the searches
+ * store positions in a block on the C stack, which becomes ints outside the
+ * loops (add, flush); and hashq and distq share one alignment step (align),
+ * which takes a full shift without waiting for its table load and then hashes
+ * two windows at once.  The word compare is written for little-endian and
+ * picks clz on a big-endian build at compile time; only little-endian was
+ * tested. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -26,10 +31,10 @@ typedef long long i64;
  * (as is hashq's 8-bit one, on its stack): entry h is m - q + 1 - hq[h],
  * that is p - q + 1 for the rightmost pattern q-gram ending at p that hashes
  * to h, and 0 ("clean") when none does.  A distq call sets the entries of
- * its pattern's q-grams and clears them before it releases any buffer, on
- * every path, holding the GIL throughout (no Python code runs in between:
- * list appends and int creation never start the GC).  So HQ is all clean
- * between calls, and a search touches O(m) of it. */
+ * its pattern's q-grams and clears them before it makes its records (which
+ * may start the GC, and so Python code that searches) or releases a buffer,
+ * on every path, holding the GIL throughout (list appends and new ints never
+ * start the GC).  HQ is so all clean between calls; a search touches O(m). */
 static uint32_t HQ[65536];
 
 /* Where the hot loops sit.  kmp starts on a 64-byte boundary with every
@@ -65,6 +70,39 @@ typedef struct {
 
 static void init(Args *a) {
     a->tab = NULL, a->occ = NULL, a->n = 0;
+}
+
+/* What bind() gave (NULL before), and the SearchOutcome field names and
+ * the empty tuple that object.__new__ takes, made on import. */
+static PyTypeObject *Outcome, *Stats;
+static PyObject *StatsNames, *Fields[3], *Empty;
+
+/* The pattern and text buffers of a search into `a`, then q and rolling
+ * where it takes them (non-NULL); 0 with an error set and no buffer held
+ * on failure.  Out of line, so the searches' set-up stays short. */
+__attribute__((noinline)) static int take(Args *a, PyObject *const *args,
+        Py_ssize_t nargs, int *q, int *rolling) {
+    long v = 0;
+    if (Stats == NULL)
+        PyErr_SetString(PyExc_RuntimeError, "engine not bound: call bind()");
+    else if (nargs != 2 + (q != NULL) + (rolling != NULL))
+        PyErr_Format(PyExc_TypeError, "wrong argument count: %zd", nargs);
+    else if (PyObject_GetBuffer(args[0], &a->p, PyBUF_SIMPLE) == 0) {
+        if (PyObject_GetBuffer(args[1], &a->t, PyBUF_SIMPLE) == 0) {
+            if (q != NULL && ((v = PyLong_AsLong(args[2])) < INT_MIN
+                              || v > INT_MAX))
+                PyErr_SetString(PyExc_OverflowError, "q must fit in an int");
+            else if (!(v == -1 && PyErr_Occurred()) && (rolling == NULL
+                     || (*rolling = PyObject_IsTrue(args[3])) >= 0)) {
+                if (q != NULL)
+                    *q = (int)v;
+                return 1;
+            }
+            PyBuffer_Release(&a->t);
+        }
+        PyBuffer_Release(&a->p);
+    }
+    return 0;
 }
 
 /* 0, with a ValueError set. */
@@ -135,19 +173,38 @@ static inline Py_ssize_t agree(const unsigned char *P, const unsigned char *W,
 #undef FIRST
 }
 
+/* Set field `name` of record r to v, taking the reference to v (NULL: an
+ * error is set); 0 on failure. */
+static int put(PyObject *r, PyObject *name, PyObject *v) {
+    int ok = v != NULL && PyObject_GenericSetAttr(r, name, v) == 0;
+    Py_XDECREF(v);
+    return ok;
+}
+
 /* Free the tables and release the buffers of `a`, then append the rest
- * of its block; the result tuple, or NULL unless `ok`. */
+ * of its block; its SearchOutcome, or NULL unless `ok`.  The records are
+ * made by object.__new__ and get their fields in vars() order. */
 static PyObject *result(Args *a, int ok, i64 cmps, i64 fchecks, i64 reads,
                         i64 hq_n, i64 dist_n, i64 kmp_n, i64 windows) {
+    i64 count[] = {cmps, fchecks, reads, hq_n, dist_n, kmp_n, windows};
+    PyObject *stats = NULL, *out = NULL;
     PyMem_RawFree(a->tab);
     PyBuffer_Release(&a->p);
     PyBuffer_Release(&a->t);
-    if (!ok || !flush(a)) {
-        Py_XDECREF(a->occ);
-        return NULL;
-    }
-    return Py_BuildValue("(NLLLLLLL)", a->occ, cmps, fchecks, reads, hq_n,
-                         dist_n, kmp_n, windows);
+    ok = ok && flush(a)
+        && (stats = PyBaseObject_Type.tp_new(Stats, Empty, NULL)) != NULL
+        && (out = PyBaseObject_Type.tp_new(Outcome, Empty, NULL)) != NULL;
+    for (Py_ssize_t x = 0; ok && x < 7; x++)
+        ok = put(stats, PyTuple_GET_ITEM(StatsNames, x),
+                 PyLong_FromLongLong(count[x]));
+    ok = ok && put(out, Fields[0], Py_NewRef(a->occ))
+        && put(out, Fields[1], Py_NewRef(stats))
+        && put(out, Fields[2], Py_NewRef(Py_None));
+    Py_XDECREF(a->occ);
+    Py_XDECREF(stats);
+    if (!ok)
+        Py_CLEAR(out);
+    return out;
 }
 
 /* A new buffer whose first m + 2 entries are kmp_shift_table(P), followed
@@ -204,11 +261,12 @@ static uint32_t scan(const unsigned char *P, Py_ssize_t m, int q, int bits,
     return d;
 }
 
-PLACED static PyObject *kmp(PyObject *self, PyObject *args) {
+PLACED static PyObject *kmp(PyObject *self, PyObject *const *args,
+                            Py_ssize_t nargs) {
     Args a;
     init(&a);
     const uint32_t *ks;
-    if (!PyArg_ParseTuple(args, "y*y*", &a.p, &a.t))
+    if (!take(&a, args, nargs, NULL, NULL))
         return NULL;
     const unsigned char *P = a.p.buf, *T = a.t.buf;
     Py_ssize_t n = a.t.len, m = a.p.len, i = 1, j = 1;
@@ -304,12 +362,13 @@ static inline __attribute__((always_inline)) uint32_t align(
     return sh;
 }
 
-LOOPS_PLACED static PyObject *hashq(PyObject *self, PyObject *args) {
+LOOPS_PLACED static PyObject *hashq(PyObject *self, PyObject *const *args,
+                                    Py_ssize_t nargs) {
     Args a;
     init(&a);
     uint32_t tab[256] = {0};
     int q;
-    if (!PyArg_ParseTuple(args, "y*y*i", &a.p, &a.t, &q))
+    if (!take(&a, args, nargs, &q, NULL))
         return NULL;
     const unsigned char *P = a.p.buf, *T = a.t.buf;
     Py_ssize_t n = a.t.len, m = a.p.len, j, adv = 0;
@@ -337,12 +396,13 @@ LOOPS_PLACED static PyObject *hashq(PyObject *self, PyObject *args) {
                   (n >= m) + al.hq_n - al.zeros + dist_n);
 }
 
-LOOPS_PLACED static PyObject *distq(PyObject *self, PyObject *args) {
+LOOPS_PLACED static PyObject *distq(PyObject *self, PyObject *const *args,
+                                    Py_ssize_t nargs) {
     Args a;
     init(&a);
     uint32_t *ks, *dist = NULL;
     int q, rolling;
-    if (!PyArg_ParseTuple(args, "y*y*ip", &a.p, &a.t, &q, &rolling))
+    if (!take(&a, args, nargs, &q, &rolling))
         return NULL;
     const unsigned char *P = a.p.buf, *T = a.t.buf;
     Py_ssize_t n = a.t.len, m = a.p.len, d;
@@ -392,10 +452,27 @@ LOOPS_PLACED static PyObject *distq(PyObject *self, PyObject *args) {
                   kmp_n, (n >= m) + al.hq_n - al.zeros + dist_n + kmp_n);
 }
 
+/* bind(SearchOutcome, SearchStats, names): the classes of the records the
+ * searches return, and the 7 SearchStats field names in vars() order. */
+static PyObject *bind(PyObject *self, PyObject *const *args,
+                      Py_ssize_t nargs) {
+    if (nargs != 3 || !PyType_Check(args[0]) || !PyType_Check(args[1])
+            || !PyTuple_Check(args[2]) || PyTuple_GET_SIZE(args[2]) != 7) {
+        PyErr_SetString(PyExc_TypeError, "bind(class, class, 7 names)");
+        return NULL;
+    }
+    Py_XSETREF(Outcome, (PyTypeObject *)Py_NewRef(args[0]));
+    Py_XSETREF(Stats, (PyTypeObject *)Py_NewRef(args[1]));
+    Py_XSETREF(StatsNames, Py_NewRef(args[2]));
+    Py_RETURN_NONE;
+}
+
+#define FAST(f) (PyCFunction)(void (*)(void))f, METH_FASTCALL
 static PyMethodDef methods[] = {
-    {"kmp", kmp, METH_VARARGS, "kmp(pattern, text)"},
-    {"hashq", hashq, METH_VARARGS, "hashq(pattern, text, q)"},
-    {"distq", distq, METH_VARARGS, "distq(pattern, text, q, rolling)"},
+    {"kmp", FAST(kmp), "kmp(pattern, text)"},
+    {"hashq", FAST(hashq), "hashq(pattern, text, q)"},
+    {"distq", FAST(distq), "distq(pattern, text, q, rolling)"},
+    {"bind", FAST(bind), "bind(outcome_class, stats_class, stats_names)"},
     {NULL, NULL, 0, NULL}
 };
 
@@ -405,5 +482,12 @@ static struct PyModuleDef module = {
 };
 
 PyMODINIT_FUNC PyInit__engine(void) {
+    static const char *names[] = {"occurrences", "stats", "trace"};
+    for (int x = 0; x < 3; x++)
+        if (Fields[x] == NULL
+                && (Fields[x] = PyUnicode_InternFromString(names[x])) == NULL)
+            return NULL;
+    if (Empty == NULL && (Empty = PyTuple_New(0)) == NULL)
+        return NULL;
     return PyModule_Create(&module);
 }

@@ -38,12 +38,12 @@ is built only when the matcher is called with ``trace=True``; otherwise
 Untraced kmp, hashq, distq and ldistq searches run the compiled searches
 of ``_engine.c`` (see :mod:`qgramsearch.native`) once the pattern and q
 are validated.  Each builds the same tables from the pattern on every
-call, returns the same occurrences and counters, and reads the caller's
-text in place (any C-contiguous bytes-like object).  The Python loops below
-copy the text to ``bytes`` and read the tables built here, so a search
-takes O(m) memory beyond its occurrences.  They run every traced search
-and every search when no compiled engine could be loaded, and are the
-reference the compiled searches are tested against.
+call, returns the finished :class:`SearchOutcome` (see ``bind`` below),
+and reads the caller's text in place (any C-contiguous bytes-like object).
+The Python loops below copy the text to ``bytes`` and read the tables built
+here, so a search takes O(m) memory beyond its occurrences.  They run every
+traced search and every search when no compiled engine could be loaded, and
+are the reference the compiled searches are tested against.
 
 A shift event is recorded (counted, and traced when asked) only when the
 pattern lands on an alignment that still fits inside the text (the trailing
@@ -175,11 +175,8 @@ class SearchOutcome(_Record):
         self.occurrences, self.stats, self.trace = occurrences, stats, trace
 
 
-def _compiled(r: tuple) -> SearchOutcome:
-    """Outcome of a compiled loop's result ``r``: the occurrences followed
-    by the counters in :class:`SearchStats` field order."""
-    return SearchOutcome(r[0], SearchStats(r[1], r[2], r[3], r[4], r[5],
-                                           r[6], r[7]), None)
+if engine is not None:  # the compiled searches return these records
+    engine.bind(SearchOutcome, SearchStats, tuple(vars(SearchStats())))
 
 
 def naive_search(text: bytes, pattern: bytes) -> list[int]:
@@ -203,7 +200,7 @@ def kmp_search(text: bytes, pattern: bytes,
     if not p:
         raise ConfigurationError("pattern must be non-empty")
     if engine is not None and not trace:
-        return _compiled(engine.kmp(p, text))
+        return engine.kmp(p, text)
     t = bytes(text)
     n, m = len(t), len(p)
     log = SearchTrace() if trace else None
@@ -254,7 +251,7 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
     p = bytes(pattern)
     check_q(q, len(p))
     if engine is not None and not trace:
-        return _compiled(engine.hashq(p, text, q))
+        return engine.hashq(p, text, q)
     table, dist = hash_tables(p, q, 8)
     shift = table.get
     base, mask = fingerprint(8)
@@ -318,8 +315,7 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
     produce the same occurrences and the same trace by construction.
     """
     if engine is not None and not trace:
-        return _compiled(engine.distq(profile.pattern, text, profile.q,
-                                      rolling))
+        return engine.distq(profile.pattern, text, profile.q, rolling)
     t = bytes(text)
     p = profile.pattern
     n, m = len(t), len(p)

@@ -1,7 +1,7 @@
 """The compiled engine (the kmp, hashq and distq searches, each building its
-own shift tables), built from ``_engine.c`` on first import and cached as
-``__pycache__/_engine.<crc32 of the source><ABI suffix>`` in place of any
-earlier build.  ``ENGINE`` is ``"c"``, or ``"python"`` with
+own shift tables, and bind), built from ``_engine.c`` on first import and
+cached as ``__pycache__/_engine.<crc32 of the source><ABI suffix>`` in place
+of any earlier build.  ``ENGINE`` is ``"c"``, or ``"python"`` with
 ``ENGINE_REASON`` saying why."""
 
 import contextlib

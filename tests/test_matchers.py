@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings, strategies as st, target
 
 from qgramsearch import ConfigurationError, PatternProfile, SearchStats, \
     build_profile, distq_search, fibonacci_string, hashq_search, \
@@ -111,6 +111,40 @@ def test_worst_cases_come_within_10_percent_of_2n(monkeypatch, algo, text,
     for out in (compiled, run(text, pattern, q)):
         assert (out.occurrences, out.stats) == (occurrences, stats)
     assert 1.8 * len(text) <= stats.char_comparisons <= 2 * len(text)
+
+
+def _runs(most, longest):
+    """Bytes made of up to ``most`` runs of one of four letters, each run
+    up to ``longest`` long: the shape of the worst cases above."""
+    return st.lists(st.tuples(st.sampled_from(b"abcd"),
+                              st.integers(1, longest)),
+                    min_size=1, max_size=most).map(
+        lambda runs: b"".join(bytes([c]) * k for c, k in runs))
+
+
+@st.composite
+def run_case(draw):
+    pattern = draw(_runs(4, 4))[:8]
+    return draw(_runs(6, 24))[:64], pattern, \
+        draw(st.integers(1, min(8, len(pattern))))
+
+
+@given(run_case())
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+def test_targeted_search_keeps_the_work_bounds(case):
+    # hypothesis climbs towards the worst case of each bound (targeted
+    # property-based testing); with --hypothesis-show-statistics it prints
+    # the highest ratios it reached, which the README's Claims table cites
+    text, pattern, q = case
+    n, m = len(text), len(pattern)
+    for algo in ("kmp", "distq", "ldistq"):
+        out = MATCHERS[algo][0](text, pattern, q)
+        assert out.occurrences == naive_search(text, pattern)
+        assert out.stats.char_comparisons <= 2 * n
+        target(out.stats.char_comparisons / n, label=f"{algo} cmp / n")
+    reads = out.stats.hashed_char_reads  # ldistq's
+    assert reads <= n + m
+    target(reads / (n + m), label="ldistq reads / (n + m)")
 
 
 def test_kmp_text_shorter_than_pattern():

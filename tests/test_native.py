@@ -18,6 +18,7 @@ import subprocess
 import sys
 import sysconfig
 import threading
+import tracemalloc
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES
 
@@ -52,7 +53,18 @@ def test_engine_is_compiled():
     assert pathlib.Path(native.engine.__file__) == SOURCE.parent / \
         "__pycache__" / f"_engine.{crc:08x}{EXTENSION_SUFFIXES[0]}"
     assert [name for name in dir(native.engine) if name[0] != "_"] == \
-        ["distq", "hashq", "kmp"]
+        ["bind", "distq", "hashq", "kmp"]
+
+
+@needs_cc
+def test_engine_compiles_without_warnings(no_preload):
+    # the METH_FASTCALL casts of the method table are where a new warning
+    # would show first
+    run = subprocess.run(
+        [*CC, "-Wall", "-Werror", "-fsyntax-only",
+         "-I" + sysconfig.get_paths()["include"], str(SOURCE)],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.fixture
@@ -89,6 +101,22 @@ def test_a_new_build_removes_the_builds_of_earlier_sources(tmp_path,
     assert reason is None and second.__file__ != first.__file__
     assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == \
         [pathlib.Path(second.__file__).name]
+
+
+@needs_cc
+def test_a_build_that_was_never_bound_raises(tmp_path, no_preload):
+    # matchers.py binds the package's own build; a build loaded by itself
+    # has no record classes to make, and bind checks what it is given
+    source = tmp_path / "_engine.c"
+    shutil.copy(SOURCE, source)
+    module, reason = native.load(str(source))
+    assert reason is None
+    with pytest.raises(TypeError):
+        module.bind(matchers.SearchOutcome, matchers.SearchStats, ("a",) * 6)
+    for name, args in (("kmp", [PATTERN, TEXT]), ("hashq", [PATTERN, TEXT, 3]),
+                       ("distq", [PATTERN, TEXT, 3, True])):
+        with pytest.raises(RuntimeError, match="not bound"):
+            getattr(module, name)(*args)
 
 
 @needs_cc
@@ -224,7 +252,8 @@ def test_searches_read_only_the_slices_they_are_given(m):
                            ("distq", [q, True])):
             got = getattr(native.engine, name)(pattern, text, *args)
             assert got == _python_loop(name, [p, t, *args]), (name, q)
-            assert got[0][0] == 1 and got[0][-1] == len(t) - m + 1
+            assert got.occurrences[0] == 1
+            assert got.occurrences[-1] == len(t) - m + 1
 
 
 @needs_engine
@@ -270,6 +299,81 @@ def test_pairs_of_full_shifts_count_like_single_steps(m, q):
                                ("distq", [q, True])):
                 assert getattr(native.engine, name)(p, text, *args) == \
                     _python_loop(name, [p, t, *args]), (name, p, t, args)
+
+
+@needs_engine
+def test_compiled_outcomes_are_the_python_records():
+    # the engine makes its records without __init__ and sets their fields
+    # itself: class, field order and repr must be the Python loop's
+    for text, pattern, q in ((TEXT, PATTERN, 3), (TEXT, b"ab", 1),
+                             (b"", PATTERN, 2)):
+        want = _on_python(_searches, text, pattern, q)
+        for got, loop in zip(_searches(text, pattern, q), want, strict=True):
+            assert got == loop and got.trace is None
+            for record, same in ((got, loop), (got.stats, loop.stats)):
+                assert type(record) is type(same)
+                assert list(vars(record)) == list(vars(same))
+            assert repr(got) == repr(loop)
+
+
+def _fails(name, *args):
+    """Call a compiled search that must fail, without keeping its error."""
+    try:
+        getattr(native.engine, name)(*args)
+    except (ValueError, TypeError):
+        return
+    raise AssertionError((name, args))
+
+
+@needs_engine
+def test_compiled_searches_keep_no_memory_between_calls():
+    # every reference a search makes is handed on or dropped, also where it
+    # fails: 1 000 more rounds of these calls leave nothing behind
+    calls = [lambda: _searches(TEXT, PATTERN, 3),
+             lambda: _searches(TEXT * 40, PATTERN, 2),
+             lambda: _fails("kmp", b"", TEXT),
+             lambda: _fails("hashq", PATTERN, TEXT, 9),
+             lambda: _fails("distq", PATTERN, TEXT.decode(), 3, False)]
+    for call in calls:
+        call()  # first-call caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(1000):
+            for call in calls:
+                call()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 4096, grown
+
+
+class _NoTruth:
+    def __bool__(self):
+        raise ZeroDivisionError
+
+
+@needs_engine
+@pytest.mark.parametrize("name, more, error", [
+    pytest.param("kmp", [], None, id="kmp"),
+    pytest.param("hashq", [3], None, id="hashq"),
+    pytest.param("hashq", [9], ValueError, id="q-above-8"),
+    pytest.param("hashq", [2 ** 40], OverflowError, id="huge-q"),
+    pytest.param("distq", [1.0, True], TypeError, id="float-q"),
+    pytest.param("distq", [3, _NoTruth()], ZeroDivisionError,
+                 id="rolling-raises")])
+def test_every_call_releases_both_buffers(name, more, error):
+    # a bytearray whose buffer is still held cannot be resized
+    pattern, text = bytearray(PATTERN), bytearray(TEXT)
+    search = getattr(native.engine, name)
+    if error is None:
+        search(pattern, text, *more)
+    else:
+        with pytest.raises(error):
+            search(pattern, text, *more)
+    for held in (pattern, text):
+        held.append(0)
+        del held[-1]
 
 
 def _distq_both(text, pattern, q):
@@ -337,23 +441,42 @@ def test_threads_searching_at_once_get_their_own_results():
 
 
 @needs_engine
-@pytest.mark.parametrize("name, args, message", [
-    pytest.param("distq", [PATTERN, TEXT, 9, False], "q must be in",
-                 id="q-above-8"),
-    pytest.param("distq", [b"ab", TEXT, 3, False], "q must be in",
-                 id="q-above-m"),
-    pytest.param("kmp", [b"", TEXT], "non-empty", id="empty-pattern"),
+@pytest.mark.parametrize("name, args, error, message", [
+    pytest.param("distq", [PATTERN, TEXT, 9, False], ValueError,
+                 "q must be in", id="q-above-8"),
+    pytest.param("distq", [b"ab", TEXT, 3, False], ValueError,
+                 "q must be in", id="q-above-m"),
+    pytest.param("kmp", [b"", TEXT], ValueError, "non-empty",
+                 id="empty-pattern"),
     # hashq's q checks, and the rolling-hash distq's on an empty pattern
-    pytest.param("hashq", [PATTERN, TEXT, 9], "q must be in",
+    pytest.param("hashq", [PATTERN, TEXT, 9], ValueError, "q must be in",
                  id="hashq-q-above-8"),
-    pytest.param("hashq", [b"ab", TEXT, 3], "q must be in",
+    pytest.param("hashq", [b"ab", TEXT, 3], ValueError, "q must be in",
                  id="hashq-q-above-m"),
-    pytest.param("distq", [b"", TEXT, 1, True], "q must be in",
+    pytest.param("distq", [b"", TEXT, 1, True], ValueError, "q must be in",
                  id="ldistq-empty-pattern"),
+    # the argument intake: each error type as the engine has always raised
+    pytest.param("kmp", [PATTERN], TypeError, None, id="kmp-too-few"),
+    pytest.param("hashq", [PATTERN, TEXT, 3, True], TypeError, None,
+                 id="hashq-too-many"),
+    pytest.param("distq", [PATTERN, TEXT, 3], TypeError, None,
+                 id="distq-too-few"),
+    pytest.param("kmp", [PATTERN, TEXT.decode()], TypeError, None,
+                 id="str-text"),
+    pytest.param("distq", [PATTERN.decode(), TEXT, 3, False], TypeError, None,
+                 id="str-pattern"),
+    pytest.param("hashq", [PATTERN, memoryview(TEXT)[::2], 3], BufferError,
+                 None, id="strided-text"),
+    pytest.param("hashq", [PATTERN, TEXT, 2 ** 40], OverflowError, None,
+                 id="hashq-huge-q"),
+    pytest.param("distq", [PATTERN, TEXT, -2 ** 40, True], OverflowError,
+                 None, id="distq-huge-negative-q"),
+    pytest.param("distq", [PATTERN, TEXT, 1.0, False], TypeError, None,
+                 id="float-q"),
 ])
-def test_bad_input_raises_instead_of_reading_out_of_bounds(name, args,
+def test_bad_input_raises_instead_of_reading_out_of_bounds(name, args, error,
                                                            message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         getattr(native.engine, name)(*args)
 
 
@@ -386,7 +509,7 @@ def _python_loop(name, args):
         pattern, text, q, rolling = args
         out = _on_python(matchers._distq_core, text,
                          PatternProfile(pattern, q), rolling, False)
-    return (out.occurrences, *vars(out.stats).values())
+    return out
 
 
 @needs_engine

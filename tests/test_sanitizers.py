@@ -4,7 +4,8 @@ A copy of the package gets an ``_engine.c`` build with both sanitizers at
 the crc-named cache path that :mod:`qgramsearch.native` loads, and the
 engine's tests (its argument fuzz and the builder cases, which reach every
 entry of the tables each search builds, among them) run against that copy
-in a subprocess.  An out-of-bounds access, a use after free or undefined
+in a subprocess, with the matchers' agreement fuzz and their committed
+worst cases.  An out-of-bounds access, a use after free or undefined
 behaviour then ends the run with a report.  Nothing is written into the
 package's own ``__pycache__``.
 """
@@ -67,10 +68,18 @@ def test_engine_tests_pass_under_sanitizers(tmp_path):
             ("malloc", [str(TESTS / "test_native.py"), "-k",
                         f"not {BUILDERS.__name__}",
                         f"{TESTS / 'test_matchers.py'}::"
-                        "test_all_matchers_agree_with_naive"]),
+                        "test_all_matchers_agree_with_naive",
+                        f"{TESTS / 'test_matchers.py'}::"
+                        "test_worst_cases_come_within_10_percent_of_2n"]),
             ("pymalloc", [builders]))]
-    for run in runs:  # both at once: the gate takes as long as the longer
-        stdout, stderr = run.communicate(timeout=600)
+    try:  # both at once: the gate takes as long as the longer
+        outputs = [run.communicate(timeout=600) for run in runs]
+    finally:  # a run left behind would keep running, its pipes open
+        for run in runs:
+            if run.returncode is None:
+                run.kill()
+                run.communicate()
+    for run, (stdout, stderr) in zip(runs, outputs):
         assert run.returncode == 0, stderr[-4000:] + stdout[-2000:]
     # test_engine_is_compiled loaded the sanitized build, not a rebuild
     assert build.stat().st_mtime_ns == stamp
