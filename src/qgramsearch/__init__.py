@@ -2,21 +2,22 @@
 
 The package bundles two distance-shift matchers (``distq_search`` and its
 rolling-hash variant ``ldistq_search``), three baselines (naive, strong
-border, 8-bit hash shift) with the Python builders of their shift tables
-(all in :mod:`~qgramsearch.matchers`), corpus generators and a small
-benchmark harness.  See the README for the CLI.  ``ENGINE`` names the
-engine that untraced kmp, hashq, distq and ldistq searches run on: ``"c"``
-(compiled on first import) or ``"python"``.  ``kmp_shift_table`` builds
-its list in Python; the compiled searches build their own tables, and a
-``PatternProfile`` is only a validated pattern and q.  The bench and
-corpus names are imported on first use, so a search loads neither module.
+border, 8-bit hash shift), their q-gram hashes, q check and the Python
+builders of their shift tables (all in :mod:`~qgramsearch.matchers`),
+corpus generators and a small benchmark harness.  See the README for the
+CLI.  ``ENGINE`` names the engine that untraced kmp, hashq, distq and
+ldistq searches run on: ``"c"`` (compiled on first import) or ``"python"``.
+``kmp_shift_table`` builds its list in Python; the compiled searches build
+their own tables, and a ``PatternProfile`` is only a validated pattern and
+q.  The bench and corpus names are imported on first use, so a search loads
+neither module.
 """
 
 from .errors import BenchmarkError, ConfigurationError, Error, GenerationError
-from .hashing import MAX_Q, MOD8, MOD16, qgram_hash8, qgram_hash16
-from .matchers import ALGORITHMS, PatternProfile, SearchOutcome, \
-    SearchStats, SearchTrace, build_profile, distq_search, hashq_search, \
-    kmp_search, kmp_shift_table, ldistq_search, naive_search
+from .matchers import ALGORITHMS, MAX_Q, MOD8, MOD16, PatternProfile, \
+    SearchOutcome, SearchStats, SearchTrace, build_profile, distq_search, \
+    hashq_search, kmp_search, kmp_shift_table, ldistq_search, naive_search, \
+    qgram_hash8, qgram_hash16
 from .native import ENGINE, ENGINE_REASON
 
 __version__ = "0.1.0"

@@ -20,13 +20,12 @@ import io
 import random
 from time import perf_counter
 
-from .corpus import CorpusSpec, _check_fib_order, _fspath, alphabet_bytes, \
-    fibonacci_string, load_text, random_text_with_occurrences, \
-    sample_patterns
+from .corpus import CorpusSpec, _check_fib_order, _check_load, \
+    alphabet_bytes, fibonacci_string, load_text, \
+    random_text_with_occurrences, sample_patterns
 from .errors import BenchmarkError, ConfigurationError, _FrozenRecord, \
     _require_ints
-from .hashing import clamp_q
-from .matchers import ALGORITHMS, MATCHERS, SearchStats
+from .matchers import ALGORITHMS, MATCHERS, SearchStats, clamp_q
 
 CSV_COLUMNS = ("algo", "q", "m", "n", "occ", "reps", "total_ms",
                "char_cmp", "first_char_checks", "hash_char_reads",
@@ -50,10 +49,7 @@ def _require_tuple(what: str, value) -> None:
 # each source, like a BenchSpec, rejects a bad field on construction
 class FileSource(_FrozenRecord):
     def __init__(self, path: str, strip_newlines: bool = False):
-        _fspath(path)  # the check load_text makes
-        if not isinstance(strip_newlines, bool):
-            raise ConfigurationError(
-                f"strip_newlines must be a bool, got {strip_newlines!r}")
+        _check_load(path, strip_newlines)  # the checks load_text makes
         self.__dict__.update(path=path, strip_newlines=strip_newlines)
 
 

@@ -21,8 +21,7 @@ import os
 import sys
 
 from .errors import ConfigurationError, Error
-from .hashing import MAX_Q, clamp_q
-from .matchers import ALGORITHMS, MATCHERS
+from .matchers import ALGORITHMS, MATCHERS, MAX_Q, clamp_q
 
 _BLOCK = 4096  # positions per write in run_search_command
 

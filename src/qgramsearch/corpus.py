@@ -57,6 +57,7 @@ class CorpusSpec(_FrozenRecord):
         alphabet_bytes(sigma)  # the one check of sigma
         _require_ints("m", m, least=1)
         _require_ints("occ", occ, least=0)
+        _require_ints("seed", seed)
         if occ * m > n:
             raise ConfigurationError(f"occ*m = {occ * m} exceeds n = {n}")
         self.__dict__.update(n=n, sigma=sigma, m=m, occ=occ, seed=seed)
@@ -140,28 +141,34 @@ def random_text_with_occurrences(spec: CorpusSpec) -> GeneratedCorpus:
 def sample_patterns(text: bytes, m: int, count: int, seed: int) -> list[bytes]:
     """``count`` length-m windows of ``text`` at uniform random starts."""
     t = bytes(text)
+    _require_ints("m", m)
     if not 1 <= m <= len(t):
         raise ConfigurationError(
             f"m must be in [1, len(text) = {len(t)}], got {m}")
-    if count < 1:
-        raise ConfigurationError(f"count must be >= 1, got {count}")
+    _require_ints("count", count, least=1)
+    _require_ints("seed", seed)
     rng = random.Random(seed)
     last = len(t) - m
     return [t[s:s + m] for s in (rng.randint(0, last) for _ in range(count))]
 
 
-def _fspath(path):
+def _check_load(path, strip_newlines) -> str | bytes:
     """``os.fspath(path)``, raising ConfigurationError on a non-path such as
-    an int, which ``open`` would take as a file descriptor."""
+    an int, which ``open`` would take as a file descriptor, and then on a
+    ``strip_newlines`` that is not a bool."""
     try:
-        return os.fspath(path)
+        path = os.fspath(path)
     except TypeError:
         raise ConfigurationError("path must be a str, bytes or os.PathLike, "
                                  f"got {path!r}") from None
+    if not isinstance(strip_newlines, bool):
+        raise ConfigurationError(
+            f"strip_newlines must be a bool, got {strip_newlines!r}")
+    return path
 
 
 def load_text(path, *, strip_newlines: bool = False) -> bytes:
     """Read a file as raw bytes, optionally dropping line-feed bytes."""
-    with open(_fspath(path), "rb") as fh:
+    with open(_check_load(path, strip_newlines), "rb") as fh:
         data = fh.read()
     return data.replace(b"\n", b"") if strip_newlines else data

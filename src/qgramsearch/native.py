@@ -7,6 +7,7 @@ of any earlier build.  ``ENGINE`` is ``"c"``, or ``"python"`` with
 import contextlib
 import importlib.util
 import os
+import sys
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES
 
@@ -47,7 +48,14 @@ def load(source: str):
                         os.remove(os.path.join(cache, old))
         spec = importlib.util.spec_from_file_location("qgramsearch._engine",
                                                       target)
-        module = importlib.util.module_from_spec(spec)
+        # a single-phase extension loaded again would fill in, and return,
+        # whatever module holds its name in sys.modules: set that one aside
+        earlier = sys.modules.pop(spec.name, None)
+        try:
+            module = importlib.util.module_from_spec(spec)
+        finally:
+            if earlier is not None:
+                sys.modules[spec.name] = earlier
         spec.loader.exec_module(module)
         return module, None
     except Exception as exc:  # any failure leaves the Python engine

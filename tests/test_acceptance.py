@@ -21,8 +21,7 @@ from qgramsearch import (BenchSpec, CorpusSpec, EmbedSource, alphabet_bytes,
                          kmp_search, kmp_shift_table, ldistq_search,
                          naive_search, qgram_hash16,
                          random_text_with_occurrences, run_benchmark)
-from qgramsearch.hashing import qgram_hashes
-from qgramsearch.matchers import hash_tables
+from qgramsearch.matchers import hash_tables, qgram_hashes
 
 PATTERN = b"abaabbaaa"
 TEXT = b"abbaabbaababbabbaaabaabaabbaaa"

@@ -135,6 +135,12 @@ def test_sample_patterns_validation():
         sample_patterns(b"ab", 1, 0, 0)
     with pytest.raises(ConfigurationError):
         sample_patterns(b"ab", 0, 1, 0)
+    for args, message in (((2, 2.5, 0), "count must be an int, got 2.5"),
+                          ((2.0, 2, 0), "m must be an int, got 2.0"),
+                          ((2, 2, "7"), "seed must be an int, got '7'")):
+        with pytest.raises(ConfigurationError) as info:
+            sample_patterns(b"abcdef", *args)
+        assert str(info.value) == message
 
 
 # --- files ---
@@ -144,6 +150,10 @@ def test_load_text_raw_and_stripped(tmp_path):
     path.write_bytes(b"ab\ncd\n")
     assert load_text(path) == b"ab\ncd\n"
     assert load_text(path, strip_newlines=True) == b"abcd"
+    for bad in ("no", 1, None):
+        with pytest.raises(ConfigurationError,
+                           match="strip_newlines must be a bool"):
+            load_text(path, strip_newlines=bad)
 
 
 def test_load_text_missing_file(tmp_path):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qgramsearch import ConfigurationError, qgram_hash16, qgram_hash8
-from qgramsearch.hashing import qgram_hashes
+from qgramsearch.matchers import qgram_hashes
 from oracles import hash16_oracle, hash8_oracle
 
 

@@ -28,8 +28,7 @@ from hypothesis import given, settings, strategies as st
 import qgramsearch
 from qgramsearch import ConfigurationError, PatternProfile, build_profile, \
     fibonacci_string, matchers, native
-from qgramsearch.hashing import qgram_hash8, qgram_hashes
-from qgramsearch.matchers import MATCHERS
+from qgramsearch.matchers import MATCHERS, qgram_hash8, qgram_hashes
 
 SOURCE = pathlib.Path(native.__file__).with_name("_engine.c")
 PATTERN = b"abaabbaaa"
@@ -117,6 +116,23 @@ def test_a_build_that_was_never_bound_raises(tmp_path, no_preload):
                        ("distq", [PATTERN, TEXT, 3, True])):
         with pytest.raises(RuntimeError, match="not bound"):
             getattr(module, name)(*args)
+
+
+@needs_cc
+def test_loading_a_build_again_leaves_earlier_modules_unchanged(tmp_path,
+                                                                no_preload):
+    # a single-phase extension found in the import system's cache would be
+    # filled into whatever module sys.modules holds under its name
+    source = tmp_path / "_engine.c"
+    shutil.copy(SOURCE, source)
+    copy, _ = native.load(str(source))
+    package, reason = native.load(str(SOURCE))
+    assert reason is None and package is not copy
+    assert sys.modules["qgramsearch._engine"] is native.engine
+    assert pathlib.Path(copy.__file__).parent == tmp_path / "__pycache__"
+    assert package.kmp(PATTERN, TEXT) == matchers.kmp_search(TEXT, PATTERN)
+    with pytest.raises(RuntimeError, match="not bound"):
+        copy.kmp(PATTERN, TEXT)
 
 
 @needs_cc

@@ -110,6 +110,15 @@ def test_every_compiled_entry_point_is_called():
     assert defined and called == defined
 
 
+def test_the_readme_layout_lists_every_package_file():
+    readme = (PACKAGE_DIR.parents[1] / "README.md").read_text()
+    block = readme.split("## Layout", 1)[1].split("```")[1]
+    listed = block.split("src/qgramsearch/\n", 1)[1].split("\ntests/", 1)[0]
+    names = re.findall(r"^  (\S+)", listed, re.MULTILINE)
+    assert sorted(names) == sorted(path.name for path in PACKAGE_DIR.iterdir()
+                                   if path.is_file())
+
+
 # --- start-up imports ------------------------------------------------------
 
 def _modules_after(code, tmp_path=None):
@@ -132,8 +141,7 @@ def _package_modules(loaded):
 # the package modules a literal search loads; the compiled engine is one
 # of them where it could be built
 SEARCH_PATH = {"qgramsearch", "qgramsearch.cli", "qgramsearch.errors",
-               "qgramsearch.hashing", "qgramsearch.matchers",
-               "qgramsearch.native"} | (
+               "qgramsearch.matchers", "qgramsearch.native"} | (
     {"qgramsearch._engine"} if qgramsearch.ENGINE == "c" else set())
 
 
@@ -230,9 +238,9 @@ READ_ONLY_TYPES = (qgramsearch.PatternProfile, qgramsearch.CorpusSpec,
                    qgramsearch.BenchSpec, qgramsearch.ReportRow)
 READ_ONLY = [r for r in RECORDS if r[0] in READ_ONLY_TYPES]
 # another value of the last field, valid where the record validates it
-OTHER_LAST = {qgramsearch.PatternProfile: 2, qgramsearch.FileSource: False,
-              qgramsearch.FibonacciSource: 16, qgramsearch.EmbedSource: (1,),
-              qgramsearch.BenchSpec: 6}
+OTHER_LAST = {qgramsearch.PatternProfile: 2, qgramsearch.CorpusSpec: 8,
+              qgramsearch.FileSource: False, qgramsearch.FibonacciSource: 16,
+              qgramsearch.EmbedSource: (1,), qgramsearch.BenchSpec: 6}
 
 
 @pytest.mark.parametrize("record, fields, values, text", RECORDS,
@@ -293,6 +301,7 @@ def test_record_defaults():
     (("10", 4, 2, 0, 0), "n must be an int, got '10'"),
     ((10, 4.0, 2, 0, 0), "sigma must be an int, got 4.0"),
     ((10, 4, 2, None, 0), "occ must be an int, got None"),
+    ((10, 4, 2, 0, [1]), "seed must be an int, got [1]"),
 ])
 def test_corpus_spec_validation_messages(values, message):
     with pytest.raises(qgramsearch.ConfigurationError) as info:
