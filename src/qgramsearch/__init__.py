@@ -2,7 +2,8 @@
 
 The package bundles two distance-shift matchers (``distq_search`` and its
 rolling-hash variant ``ldistq_search``), three baselines (naive, strong
-border, 8-bit hash shift), their q-gram hashes, q check and the Python
+border, 8-bit hash shift), their q check, the one Python evaluation of
+their q-gram hashes (``qgram_hashes``, not exported) and the Python
 builders of their shift tables (all in :mod:`~qgramsearch.matchers`),
 corpus generators and a small benchmark harness.  See the README for the
 CLI.  ``ENGINE`` names the engine that untraced kmp, hashq, distq and
@@ -14,10 +15,9 @@ neither module.
 """
 
 from .errors import BenchmarkError, ConfigurationError, Error, GenerationError
-from .matchers import ALGORITHMS, MAX_Q, MOD8, MOD16, PatternProfile, \
-    SearchOutcome, SearchStats, SearchTrace, build_profile, distq_search, \
-    hashq_search, kmp_search, kmp_shift_table, ldistq_search, naive_search, \
-    qgram_hash8, qgram_hash16
+from .matchers import ALGORITHMS, MAX_Q, PatternProfile, SearchOutcome, \
+    SearchStats, SearchTrace, build_profile, distq_search, hashq_search, \
+    kmp_search, kmp_shift_table, ldistq_search, naive_search
 from .native import ENGINE, ENGINE_REASON
 
 __version__ = "0.1.0"
@@ -26,11 +26,10 @@ __all__ = [
     "ALGORITHMS", "BenchSpec", "BenchmarkError", "ConfigurationError",
     "CorpusSpec", "ENGINE", "ENGINE_REASON", "EmbedSource", "Error",
     "FibonacciSource", "FileSource", "GeneratedCorpus", "GenerationError",
-    "MAX_Q", "MOD16", "MOD8", "PatternProfile", "ReportRow", "SearchOutcome",
-    "SearchStats", "SearchTrace", "alphabet_bytes", "build_profile",
-    "distq_search", "emit_report", "fibonacci_string", "hashq_search",
-    "kmp_search", "kmp_shift_table", "ldistq_search", "load_text",
-    "naive_search", "qgram_hash16", "qgram_hash8",
+    "MAX_Q", "PatternProfile", "ReportRow", "SearchOutcome", "SearchStats",
+    "SearchTrace", "alphabet_bytes", "build_profile", "distq_search",
+    "emit_report", "fibonacci_string", "hashq_search", "kmp_search",
+    "kmp_shift_table", "ldistq_search", "load_text", "naive_search",
     "random_text_with_occurrences", "run_benchmark", "sample_patterns",
 ]
 

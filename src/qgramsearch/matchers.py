@@ -20,10 +20,12 @@ list of algorithms that the CLI and the benchmark harness read.
 The q-gram hashes of a q-byte window x = x[1..q], picked by ``bits``
 (:func:`fingerprint`): the 16-bit (4^(q-1)*x[1] + ... + x[q]) mod 2^16 of
 the distance-shift matchers, and the 8-bit (2^(q-1)*x[1] + ... + x[q])
-mod 2^8 of hashq.  Both roll in constant time when the window slides one
-byte to the right (:func:`qgram_hashes`, which the Python table builder
-runs; the compiled one hashes each q-gram afresh), and the Python loops
-inline the same arithmetic with the base and mask of :func:`fingerprint`.
+mod 2^8 of hashq.  :func:`qgram_hashes` is the one Python evaluation of
+either polynomial: it hashes the first q-gram of a sequence and rolls the
+hash in constant time as the window slides one byte to the right.  The
+Python table builder runs it (the compiled one hashes each q-gram afresh),
+and the Python loops inline the same arithmetic with the base and mask of
+:func:`fingerprint`.
 :func:`check_q` is the one check of a (pattern length, q) pair and
 :func:`clamp_q` the one clamp of a requested q to the q that runs.  q stops
 at 8: for q >= 9 the weight 4^(q-1) of the outgoing byte is 0 mod 2^16 and
@@ -71,22 +73,20 @@ from __future__ import annotations
 from .errors import ConfigurationError, _FrozenRecord, _Record
 from .native import engine
 
-MOD16 = 1 << 16
-MOD8 = 1 << 8
 MAX_Q = 8
 
 
-def check_q(q: int, m: int | None = None) -> None:
+def check_q(q: int, m: int) -> None:
     """Raise :class:`ConfigurationError` unless the pattern length ``m`` is
     positive, q is an int and 1 <= q <= min(m, MAX_Q), checked in that
-    order; without ``m`` (a lone window) only the q checks are made."""
+    order."""
     if m == 0:
         raise ConfigurationError("pattern must be non-empty")
     if not isinstance(q, int):
         raise ConfigurationError(f"q must be an int, got {q!r}")
     if not 1 <= q <= MAX_Q:
         raise ConfigurationError(f"q must be in [1, {MAX_Q}], got {q}")
-    if m is not None and q > m:
+    if q > m:
         raise ConfigurationError(f"q = {q} exceeds pattern length m = {m}")
 
 
@@ -100,42 +100,12 @@ def fingerprint(bits: int) -> tuple[int, int]:
     any other ``bits`` raises :class:`ConfigurationError`."""
     if bits not in (16, 8):
         raise ConfigurationError(f"bits must be 8 or 16, got {bits}")
-    return (4, MOD16 - 1) if bits == 16 else (2, MOD8 - 1)
-
-
-def _hash_window(window: bytes, q: int, bits: int) -> int:
-    """The ``bits``-bit q-gram polynomial, evaluated afresh on a window."""
-    check_q(q)
-    base, mask = fingerprint(bits)
-    if len(window) != q:
-        raise ConfigurationError(f"window length {len(window)} != q = {q}")
-    h = 0
-    for b in window:
-        h = h * base + b
-    # intermediate values stay below 4^8 * 256 < 2^24, well inside 32 bits
-    return h & mask
-
-
-def qgram_hash16(window: bytes, q: int) -> int:
-    """16-bit hash of a q-byte window.
-
-    >>> qgram_hash16(b"aba", 3)
-    2041
-    """
-    return _hash_window(window, q, 16)
-
-
-def qgram_hash8(window: bytes, q: int) -> int:
-    """8-bit hash of a q-byte window (base 2 instead of base 4).
-
-    >>> qgram_hash8(b"ab", 2)
-    36
-    """
-    return _hash_window(window, q, 8)
+    return (4, 0xFFFF) if bits == 16 else (2, 0xFF)
 
 
 def qgram_hashes(seq: bytes, q: int, bits: int = 16) -> list[int]:
-    """Hash of every q-gram of ``seq`` in one rolling pass, O(len(seq)).
+    """Hash of every q-gram of ``seq`` in one rolling pass, O(len(seq)),
+    once :func:`check_q` accepts (len(seq), q).
 
     Entry j (1-based, q <= j <= len(seq)) hashes seq[j-q:j]; entries below q
     are padding.  ``bits`` picks the fingerprint.  Each step removes the
@@ -144,9 +114,13 @@ def qgram_hashes(seq: bytes, q: int, bits: int = 16) -> list[int]:
     >>> qgram_hashes(b"abaa", 3)[3:]   # "aba", then rolled to "baa"
     [2041, 2053]
     """
-    check_q(q)  # before q slices seq
+    check_q(q, len(seq))
     base, mask = fingerprint(bits)
-    h = _hash_window(seq[:q], q, bits)
+    h = 0
+    for b in seq[:q]:
+        h = h * base + b
+    # intermediate values stay below 4^8 * 256 < 2^24, well inside 32 bits
+    h &= mask
     weight = pow(base, q - 1, mask + 1)
     hs = [0] * q + [h]
     for out_byte, in_byte in zip(seq, seq[q:]):
@@ -195,7 +169,6 @@ def hash_tables(pattern: bytes, q: int,
     q-gram hashes (O(m + q) work, O(m) memory) once :func:`check_q` accepts
     (pattern, q); ``bits`` (16 or 8) picks the :func:`fingerprint`."""
     m = len(pattern)
-    check_q(q, m)
     hs = qgram_hashes(pattern, q, bits)
     hq: dict[int, int] = {}
     get = hq.get
@@ -363,7 +336,7 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
     windows = 1 if n >= m else 0  # the first alignment, if it fits
     k = m  # window end
     while k <= n:
-        # qgram_hash8 of the window's suffix q-gram, inlined
+        # the 8-bit hash of the window's suffix q-gram (qgram_hashes), inlined
         h = 0
         for c in t[k - q:k]:
             h = h * base + c
@@ -440,7 +413,7 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
             # --- alignment phase: hash until a shift aligns a q-gram of p ---
             while True:
                 e = k
-                # qgram_hash16, or the qgram_hashes roll, inlined
+                # the 16-bit qgram_hashes polynomial, afresh or rolled, inlined
                 if rolling and 0 <= e - last_end < q:
                     d = e - last_end
                     h = last_h

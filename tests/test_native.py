@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 import qgramsearch
 from qgramsearch import ConfigurationError, PatternProfile, build_profile, \
     fibonacci_string, matchers, native
-from qgramsearch.matchers import MATCHERS, qgram_hash8, qgram_hashes
+from qgramsearch.matchers import MATCHERS, qgram_hashes
 
 SOURCE = pathlib.Path(native.__file__).with_name("_engine.c")
 PATTERN = b"abaabbaaa"
@@ -295,7 +295,8 @@ def test_pairs_of_full_shifts_count_like_single_steps(m, q):
     mq1 = m - q + 1
     grams = {bits: set(qgram_hashes(p, q, bits)[q:]) for bits in (16, 8)}
     z = next(z for z in range(0, 128, 4) if not grams[8] & {
-        qgram_hash8(bytes([z] * (q - 1) + [end]), q) for end in (z, z + 128)})
+        qgram_hashes(bytes([z] * (q - 1) + [end]), q, 8)[q]
+        for end in (z, z + 128)})
     puts = [[m + run * mq1 + off] for run in (1, 2, 3, 4) for off in (0, 1)]
     puts.append([m + mq1, m + 2 * mq1])
     for n in range(m, m + 4 * mq1 + q + 1):

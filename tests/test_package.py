@@ -38,6 +38,14 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_every_exported_name_is_in_the_readme():
+    # a public name nobody documents is likely one only tests use
+    readme = (PACKAGE_DIR.parents[1] / "README.md").read_text()
+    missing = [name for name in qgramsearch.__all__
+               if not re.search(rf"\b{name}\b", readme)]
+    assert missing == []
+
+
 def _module_trees():
     return {path.stem: ast.parse(path.read_text(), str(path))
             for path in sorted(PACKAGE_DIR.glob("*.py"))}

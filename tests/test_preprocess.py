@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qgramsearch import ConfigurationError, PatternProfile, build_profile, \
-    distq_search, hashq_search, kmp_shift_table, qgram_hash16
+    distq_search, hashq_search, kmp_shift_table
 from qgramsearch.matchers import hash_tables, qgram_hashes
 from oracles import dist_oracle, hash16_oracle, hash8_oracle, \
     hq_shift_oracle, strong_border_oracle
@@ -85,14 +85,14 @@ def test_hq_table_example_pattern():
 
 def test_hq_table_uniform_pattern():
     table, _ = hash_tables(b"aaa", 3)
-    h = qgram_hash16(b"aaa", 3)
+    h = hash16_oracle(b"aaa", 3)
     assert table == {h: 0}  # every other hash reads the default 1
 
 
 def test_hq_table_two_gram_pattern():
     table, _ = hash_tables(b"abab", 2)
-    assert table == {qgram_hash16(b"ab", 2): 0,  # rightmost "ab" ends at 4
-                     qgram_hash16(b"ba", 2): 1}  # rightmost "ba" ends at 3
+    assert table == {hash16_oracle(b"ab", 2): 0,  # rightmost "ab" ends at 4
+                     hash16_oracle(b"ba", 2): 1}  # rightmost "ba" ends at 3
 
 
 def test_hq_table_full_direct_evaluation():
@@ -120,7 +120,7 @@ def test_hq_table_spot_checks(data):
     table, _ = hash_tables(pat, q)
     m = len(pat)
     for j in range(q, m + 1):
-        h = qgram_hash16(pat[j - q:j], q)
+        h = hash16_oracle(pat[j - q:j], q)
         assert table[h] == hq_shift_oracle(pat, q, h)
         assert table[h] <= m - j  # at most the distance of this q-gram
     for c in data.draw(st.lists(st.integers(0, (1 << 16) - 1), max_size=8)):
@@ -269,5 +269,5 @@ def test_bits_other_than_8_or_16_rejected():
 
 def test_q_equal_to_m_allowed():
     assert build_profile(b"abcd", 4) == PatternProfile(b"abcd", 4)
-    assert hash_tables(b"abcd", 4) == ({qgram_hash16(b"abcd", 4): 0},
+    assert hash_tables(b"abcd", 4) == ({hash16_oracle(b"abcd", 4): 0},
                                        [0, 1, 1, 1, 1])
