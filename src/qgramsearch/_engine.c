@@ -1,25 +1,24 @@
 /* Four entry points: the compiled counting loops of kmp_search, hashq_search
- * and _distq_core, and bind(), which matchers.py calls once with the
- * SearchOutcome and SearchStats classes and the SearchStats field names.  Each
- * search takes its arguments as a vector (METH_FASTCALL; take) and returns
- * what the untraced branch of its Python function returns, the finished
- * SearchOutcome, made without __init__ (result); before bind() it raises.  An
- * empty-text distq call and its records so take 0.7 us, not 1.4 (0.6 parsing a
- * format and building a tuple, 0.7 in Python's __init__s).  Each search builds
- * the shift tables it reads from the pattern, by the algorithms of
- * kmp_shift_table and hash_tables in matchers.py, so no table crosses from
- * Python: a search takes the pattern and the text (both read through the
- * buffer protocol), and q and rolling where it needs them.  Unsigned 32-bit
- * hashes masked to 16 or 8 bits equal the Python polynomials mod 2^16 or 2^8.
- * Three things differ from the Python loops in form only: hashq and distq
- * verify a window 8 bytes at a time (agree), while char_comparisons still
- * counts byte tests, the bytes matched plus the failing one; the searches
- * store positions in a block on the C stack, which becomes ints outside the
- * loops (add, flush); and hashq and distq share one alignment step (align),
- * which takes a full shift without waiting for its table load and then hashes
- * two windows at once.  The word compare is written for little-endian and
- * picks clz on a big-endian build at compile time; only little-endian was
- * tested. */
+ * and distq_search/ldistq_search, and bind(), which matchers.py calls once
+ * with the SearchOutcome and SearchStats classes and the SearchStats field
+ * names.  Each search takes its arguments as a vector (METH_FASTCALL), which
+ * take() checks in full before the search starts, and returns what the
+ * untraced branch of its Python function returns, the finished
+ * SearchOutcome, made without __init__ (result); before bind() it raises.
+ * Each search builds the shift tables it reads from the pattern, by the
+ * algorithms of kmp_shift_table and hash_tables in matchers.py, so no table
+ * crosses from Python: a search takes the pattern and the text (both read
+ * through the buffer protocol), and q and rolling where it needs them.
+ * Unsigned 32-bit hashes masked to 16 or 8 bits equal the Python
+ * polynomials mod 2^16 or 2^8.  Three things differ from the Python loops
+ * in form only: hashq and distq verify a window 8 bytes at a time (agree),
+ * while char_comparisons still counts byte tests, the bytes matched plus
+ * the failing one; the searches store positions in a block on the C stack,
+ * which becomes ints outside the loops (add, flush); and hashq and distq
+ * share one alignment step (align), which takes a full shift without
+ * waiting for its table load and then hashes two windows at once.  The
+ * word compare is written for little-endian and picks clz on a big-endian
+ * build at compile time; only little-endian was tested. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -53,7 +52,7 @@ static uint32_t HQ[65536];
 /* The tables one call built, its occurrences (the list `occ`, then the
  * `n` 1-based positions in `block` not yet appended to it), and its
  * pattern and text.  `block` lives on the C stack and is never zeroed
- * (`Args a = {0}` would clear it on every call): init() sets tab, occ
+ * (`Args a = {0}` would clear it on every call): take() sets tab, occ
  * and n.  Those come first, at short stack offsets: after the buffers
  * they lengthened kmp's set-up enough to move its loop 32 bytes, and kmp
  * ran 8-14 % slower on Fibonacci text.  `block` is small because every
@@ -68,21 +67,20 @@ typedef struct {
     Py_ssize_t block[BLOCK];
 } Args;
 
-static void init(Args *a) {
-    a->tab = NULL, a->occ = NULL, a->n = 0;
-}
-
 /* What bind() gave (NULL before), and the SearchOutcome field names and
  * the empty tuple that object.__new__ takes, made on import. */
 static PyTypeObject *Outcome, *Stats;
 static PyObject *StatsNames, *Fields[3], *Empty;
 
 /* The pattern and text buffers of a search into `a`, then q and rolling
- * where it takes them (non-NULL); 0 with an error set and no buffer held
- * on failure.  Out of line, so the searches' set-up stays short. */
+ * where it takes them (non-NULL), checked: 1 <= q <= min(m, 8), or a
+ * non-empty pattern for a search without q, and m + 1 < 2^32.  Sets tab,
+ * occ and n; 0 with an error set and no buffer held on failure.  Out of
+ * line, so the searches' set-up stays short. */
 __attribute__((noinline)) static int take(Args *a, PyObject *const *args,
         Py_ssize_t nargs, int *q, int *rolling) {
-    long v = 0;
+    long v = 1;  /* with no q, the check of v below is m >= 1 */
+    a->tab = NULL, a->occ = NULL, a->n = 0;
     if (Stats == NULL)
         PyErr_SetString(PyExc_RuntimeError, "engine not bound: call bind()");
     else if (nargs != 2 + (q != NULL) + (rolling != NULL))
@@ -94,31 +92,24 @@ __attribute__((noinline)) static int take(Args *a, PyObject *const *args,
                 PyErr_SetString(PyExc_OverflowError, "q must fit in an int");
             else if (!(v == -1 && PyErr_Occurred()) && (rolling == NULL
                      || (*rolling = PyObject_IsTrue(args[3])) >= 0)) {
-                if (q != NULL)
-                    *q = (int)v;
-                return 1;
+                if (v < 1 || v > 8 || v > a->p.len)
+                    PyErr_SetString(PyExc_ValueError, q == NULL
+                                    ? "pattern must be non-empty"
+                                    : "q must be in [1, min(m, 8)]");
+                else if (a->p.len >= UINT32_MAX)
+                    PyErr_SetString(PyExc_ValueError,
+                                    "m + 1 must fit in 32 bits");
+                else {
+                    if (q != NULL)
+                        *q = (int)v;
+                    return 1;
+                }
             }
             PyBuffer_Release(&a->t);
         }
         PyBuffer_Release(&a->p);
     }
     return 0;
-}
-
-/* 0, with a ValueError set. */
-static int fail(const char *msg) {
-    PyErr_SetString(PyExc_ValueError, msg);
-    return 0;
-}
-
-/* 1 <= q <= min(m, 8), or 0 with a ValueError set. */
-static int q_ok(int q, Py_ssize_t m) {
-    return (q >= 1 && q <= 8 && q <= m) || fail("q must be in [1, min(m, 8)]");
-}
-
-/* m + 1 fits in a table entry, or 0 with a ValueError set. */
-static int fits(Py_ssize_t m) {
-    return m < UINT32_MAX || fail("m + 1 must fit in 32 bits");
 }
 
 /* Append the block's positions to `occ` as ints and empty the block; 0 on
@@ -217,8 +208,6 @@ static uint32_t *kmp_fill(const unsigned char *P, Py_ssize_t m,
     size_t len = m + 2 + extra;
     uint32_t *ks = NULL;
     Py_ssize_t i, j;
-    if (!fits(m))
-        return NULL;
     if (len <= PY_SSIZE_T_MAX / sizeof *ks)
         ks = PyMem_RawMalloc(len * sizeof *ks);
     if (ks == NULL)
@@ -264,16 +253,16 @@ static uint32_t scan(const unsigned char *P, Py_ssize_t m, int q, int bits,
 PLACED static PyObject *kmp(PyObject *self, PyObject *const *args,
                             Py_ssize_t nargs) {
     Args a;
-    init(&a);
     const uint32_t *ks;
     if (!take(&a, args, nargs, NULL, NULL))
         return NULL;
-    const unsigned char *P = a.p.buf, *T = a.t.buf;
-    Py_ssize_t n = a.t.len, m = a.p.len, i = 1, j = 1;
+    const unsigned char *P = a.p.buf;
+    Py_ssize_t m = a.p.len, i = 1, j = 1;
     i64 cmps = 0, kmp_n = 0;
-    int ok = (m > 0 || fail("pattern must be non-empty"))
-        && (ks = a.tab = kmp_fill(P, m, 0)) != NULL
+    int ok = (ks = a.tab = kmp_fill(P, m, 0)) != NULL
         && (a.occ = PyList_New(0)) != NULL;
+    const unsigned char *T = a.t.buf;  /* after the calls: see PLACED */
+    Py_ssize_t n = a.t.len;
     if (!ok || n < m)
         return result(&a, ok, 0, 0, 0, 0, 0, 0, 0);
     Py_ssize_t last_start = n - m + 1;  /* rightmost alignment that fits */
@@ -365,7 +354,6 @@ static inline __attribute__((always_inline)) uint32_t align(
 LOOPS_PLACED static PyObject *hashq(PyObject *self, PyObject *const *args,
                                     Py_ssize_t nargs) {
     Args a;
-    init(&a);
     uint32_t tab[256] = {0};
     int q;
     if (!take(&a, args, nargs, &q, NULL))
@@ -374,7 +362,7 @@ LOOPS_PLACED static PyObject *hashq(PyObject *self, PyObject *const *args,
     Py_ssize_t n = a.t.len, m = a.p.len, j, adv = 0;
     i64 cmps = 0, dist_n = 0;
     Align al = {m, -1, 0, 0, 0, 0};  /* the first window ends at m */
-    int ok = q_ok(q, m) && fits(m) && (a.occ = PyList_New(0)) != NULL;
+    int ok = (a.occ = PyList_New(0)) != NULL;
     if (ok)  /* hash_tables(P, q, 8), and dist[m], the constant advance */
         adv = scan(P, m, q, 8, tab, NULL);
     while (ok && al.k <= n) {
@@ -399,7 +387,6 @@ LOOPS_PLACED static PyObject *hashq(PyObject *self, PyObject *const *args,
 LOOPS_PLACED static PyObject *distq(PyObject *self, PyObject *const *args,
                                     Py_ssize_t nargs) {
     Args a;
-    init(&a);
     uint32_t *ks, *dist = NULL;
     int q, rolling;
     if (!take(&a, args, nargs, &q, &rolling))
@@ -408,8 +395,7 @@ LOOPS_PLACED static PyObject *distq(PyObject *self, PyObject *const *args,
     Py_ssize_t n = a.t.len, m = a.p.len, d;
     i64 cmps = 0, fchecks = 0, dist_n = 0, kmp_n = 0;
     Align al = {m, -1, 0, 0, 0, 0};
-    int ok = q_ok(q, m)
-        && (ks = a.tab = kmp_fill(P, m, m + 1)) != NULL
+    int ok = (ks = a.tab = kmp_fill(P, m, m + 1)) != NULL
         && (a.occ = PyList_New(0)) != NULL;
     int marked = ok;  /* HQ holds this pattern's entries until cleaned */
     if (marked)
@@ -477,8 +463,8 @@ static PyMethodDef methods[] = {
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_engine", "Compiled searches.", -1,
-    methods
+    .m_base = PyModuleDef_HEAD_INIT, .m_name = "_engine",
+    .m_doc = "Compiled searches.", .m_size = -1, .m_methods = methods,
 };
 
 PyMODINIT_FUNC PyInit__engine(void) {

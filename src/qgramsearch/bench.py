@@ -226,7 +226,7 @@ def _row_values(row: ReportRow) -> list:
 def emit_report(rows: list[ReportRow], format: str = "csv") -> str:
     """Serialize rows as CSV (default) or a markdown table."""
     if not rows:
-        raise ValueError("no rows to report")
+        raise ConfigurationError("no rows to report")
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

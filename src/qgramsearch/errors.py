@@ -4,8 +4,7 @@ across the package.
 Every rejected input (an empty pattern, a q outside [1, min(m, 8)], a
 hash width other than 8 or 16 bits, a bad CLI or benchmark setting) raises
 :class:`ConfigurationError`, a ``ValueError``; the CLI exits 2 on it.
-Plain ``ValueError`` is left for ``emit_report`` given no rows.  The other
-subclasses mark the run-time failures, on which the CLI exits 1.
+The other subclasses mark the run-time failures, on which the CLI exits 1.
 """
 
 

@@ -376,14 +376,13 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
 
 def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
                 trace: bool) -> SearchOutcome:
-    """Shared engine of distq_search / ldistq_search.
+    """The Python loop of distq_search and ldistq_search, each of which
+    calls the compiled engine itself.
 
     ``rolling`` selects how the alignment-phase window hash is obtained;
     every shift decision is identical in both modes, so the two matchers
     produce the same occurrences and the same trace by construction.
     """
-    if engine is not None and not trace:
-        return engine.distq(profile.pattern, text, profile.q, rolling)
     t = bytes(text)
     p = profile.pattern
     n, m = len(t), len(p)
@@ -488,6 +487,8 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
 def distq_search(text: bytes, profile: PatternProfile,
                  trace: bool = False) -> SearchOutcome:
     """Distance-shift matcher; every window hash is computed from scratch."""
+    if engine is not None and not trace:
+        return engine.distq(profile.pattern, text, profile.q, False)
     return _distq_core(text, profile, rolling=False, trace=trace)
 
 
@@ -499,6 +500,8 @@ def ldistq_search(text: bytes, profile: PatternProfile,
     the next end is less than q bytes ahead caps hashed text bytes at
     O(n + m) overall.
     """
+    if engine is not None and not trace:
+        return engine.distq(profile.pattern, text, profile.q, True)
     return _distq_core(text, profile, rolling=True, trace=trace)
 
 

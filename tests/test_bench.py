@@ -196,7 +196,7 @@ def test_markdown_report_same_numbers():
 
 
 def test_report_rejects_empty_and_unknown_format():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         emit_report([])
     rows = run_benchmark(small_spec(algorithms=("kmp",)))
     with pytest.raises(ConfigurationError):

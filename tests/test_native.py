@@ -56,12 +56,14 @@ def test_engine_is_compiled():
 
 
 @needs_cc
-def test_engine_compiles_without_warnings(no_preload):
-    # the METH_FASTCALL casts of the method table are where a new warning
-    # would show first
+def test_engine_compiles_without_warnings(tmp_path, no_preload):
+    # at the build's -O2, since gcc's flow-based warnings (such as
+    # -Wmaybe-uninitialized) run only when it optimizes; the METH_FASTCALL
+    # casts of the method table are where a new warning would show first
     run = subprocess.run(
-        [*CC, "-Wall", "-Werror", "-fsyntax-only",
-         "-I" + sysconfig.get_paths()["include"], str(SOURCE)],
+        [*CC, "-O2", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
+         "-fPIC", "-c", "-I" + sysconfig.get_paths()["include"], str(SOURCE),
+         "-o", str(tmp_path / "engine.o")],
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
 
@@ -371,17 +373,19 @@ class _NoTruth:
 
 
 @needs_engine
-@pytest.mark.parametrize("name, more, error", [
-    pytest.param("kmp", [], None, id="kmp"),
-    pytest.param("hashq", [3], None, id="hashq"),
-    pytest.param("hashq", [9], ValueError, id="q-above-8"),
-    pytest.param("hashq", [2 ** 40], OverflowError, id="huge-q"),
-    pytest.param("distq", [1.0, True], TypeError, id="float-q"),
-    pytest.param("distq", [3, _NoTruth()], ZeroDivisionError,
-                 id="rolling-raises")])
-def test_every_call_releases_both_buffers(name, more, error):
+@pytest.mark.parametrize("name, pattern, more, error", [
+    pytest.param("kmp", PATTERN, [], None, id="kmp"),
+    pytest.param("hashq", PATTERN, [3], None, id="hashq"),
+    pytest.param("hashq", PATTERN, [9], ValueError, id="q-above-8"),
+    pytest.param("hashq", PATTERN, [2 ** 40], OverflowError, id="huge-q"),
+    pytest.param("distq", PATTERN, [1.0, True], TypeError, id="float-q"),
+    pytest.param("distq", PATTERN, [3, _NoTruth()], ZeroDivisionError,
+                 id="rolling-raises"),
+    pytest.param("kmp", b"", [], ValueError, id="empty-pattern"),
+    pytest.param("distq", b"ab", [3, False], ValueError, id="q-above-m")])
+def test_every_call_releases_both_buffers(name, pattern, more, error):
     # a bytearray whose buffer is still held cannot be resized
-    pattern, text = bytearray(PATTERN), bytearray(TEXT)
+    pattern, text = bytearray(pattern), bytearray(TEXT)
     search = getattr(native.engine, name)
     if error is None:
         search(pattern, text, *more)
@@ -490,6 +494,15 @@ def test_threads_searching_at_once_get_their_own_results():
                  None, id="distq-huge-negative-q"),
     pytest.param("distq", [PATTERN, TEXT, 1.0, False], TypeError, None,
                  id="float-q"),
+    # two bad arguments: the error of the one checked first
+    pytest.param("hashq", [b"", memoryview(TEXT)[::2], 9], BufferError, None,
+                 id="strided-text-before-q"),
+    pytest.param("distq", [b"", TEXT, 9, _NoTruth()], ZeroDivisionError,
+                 None, id="rolling-before-q"),
+    pytest.param("hashq", [b"", TEXT, 2 ** 40], OverflowError, None,
+                 id="huge-q-before-empty-pattern"),
+    pytest.param("distq", [b"", TEXT, 1.5, True], TypeError, None,
+                 id="float-q-before-empty-pattern"),
 ])
 def test_bad_input_raises_instead_of_reading_out_of_bounds(name, args, error,
                                                            message):
