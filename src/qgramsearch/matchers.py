@@ -7,8 +7,8 @@ occurrences, sorted ascending):
 * ``naive_search``   - window-by-window comparison; the correctness oracle.
 * ``kmp_search``     - strong-border shifting, at most 2n character tests.
 * ``hashq_search``   - 8-bit q-gram hash shifts, then left-to-right compare.
-* ``distq_search``   - 16-bit hash shifts layered with the q-gram distance
-                       table and border shifts; hashes each window afresh.
+* ``distq_search``   - kmp layered under 16-bit hash shifts and the q-gram
+                       distance table; hashes each window afresh.
 * ``ldistq_search``  - same shift decisions as distq_search, but the window
                        hash is rolled forward whenever the next window end is
                        less than q bytes away, so at most O(n + m) bytes are
@@ -55,10 +55,12 @@ of ``_engine.c`` (see :mod:`qgramsearch.native`) once the pattern and q
 are validated.  Each builds the same tables from the pattern on every
 call, returns the finished :class:`SearchOutcome` (see ``bind`` below),
 and reads the caller's text in place (any C-contiguous bytes-like object).
-The Python loops below copy the text to ``bytes`` and read the tables built
-here, so a search takes O(m) memory beyond its occurrences.  They run every
-traced search and every search when no compiled engine could be loaded, and
-are the reference the compiled searches are tested against.
+The three Python loops below (the naive oracle, hashq's, and
+``_distq_core``, which runs kmp as distq without its q-gram layer) copy the
+text to ``bytes`` and read the tables built here, so a search takes O(m)
+memory beyond its occurrences.  They run every traced search and every
+search when no compiled engine could be loaded, and are the reference the
+compiled searches are tested against.
 
 A shift event is recorded (counted, and traced when asked) only when the
 pattern lands on an alignment that still fits inside the text (the trailing
@@ -269,42 +271,7 @@ def kmp_search(text: bytes, pattern: bytes,
         raise ConfigurationError("pattern must be non-empty")
     if engine is not None and not trace:
         return engine.kmp(p, text)
-    t = bytes(text)
-    n, m = len(t), len(p)
-    log = SearchTrace() if trace else None
-    if n < m:
-        return SearchOutcome([], SearchStats(), log)
-    ks = kmp_shift_table(p)
-    last_start = n - m + 1  # rightmost alignment that fits
-    occ: list[int] = []
-    cmps = kmp_n = 0
-    i = 1  # text cursor
-    j = 1  # pattern cursor; window starts at i - j + 1
-    # the window always fits here: i - j + 1 <= last_start, so i <= n
-    while True:
-        if j == 0:
-            # resume at the next text byte against the pattern head
-            i += 1
-            j = 1
-            continue
-        cmps += 1
-        if p[j - 1] == t[i - 1]:
-            i += 1
-            j += 1
-            if j <= m:
-                continue
-            occ.append(i - m)
-        # after a full match (j = m + 1) or a mismatch at j
-        amt = ks[j]
-        j -= amt
-        if i - j + 1 > last_start:
-            break  # the next window does not fit
-        kmp_n += 1
-        if trace:
-            log.shifts.append((SHIFT_KMP, amt))
-    # every kmp shift is positive, so each recorded one opens a window
-    return SearchOutcome(occ, SearchStats(
-        char_comparisons=cmps, kmp_shifts=kmp_n, windows=1 + kmp_n), log)
+    return _distq_core(text, p, None, False, trace)
 
 
 def hashq_search(text: bytes, pattern: bytes, q: int,
@@ -374,26 +341,27 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
         dist_shifts=dist_n, windows=windows), log)
 
 
-def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
+def _distq_core(text: bytes, p: bytes, q: int | None, rolling: bool,
                 trace: bool) -> SearchOutcome:
-    """The Python loop of distq_search and ldistq_search, each of which
-    calls the compiled engine itself.
+    """The one Python loop of kmp_search, distq_search and ldistq_search,
+    each of which calls the compiled engine itself.
 
+    kmp is distq without its q-gram layer: with ``q`` None nothing is
+    hashed, no alignment phase runs and every shift is a kmp shift.
     ``rolling`` selects how the alignment-phase window hash is obtained;
-    every shift decision is identical in both modes, so the two matchers
+    every shift decision is identical in both modes, so distq and ldistq
     produce the same occurrences and the same trace by construction.
     """
     t = bytes(text)
-    p = profile.pattern
     n, m = len(t), len(p)
-    q = profile.q
     log = SearchTrace() if trace else None
-    hq_tab, dist_tab = hash_tables(p, q)
-    shift = hq_tab.get
     ks = kmp_shift_table(p)
-    base, mask = fingerprint(16)
-    weight = pow(base, q - 1, mask + 1)  # of a window's leading byte
-    mq1 = m - q + 1  # the shift of a hash no pattern q-gram has
+    if q is not None:
+        hq_tab, dist_tab = hash_tables(p, q)
+        shift = hq_tab.get
+        base, mask = fingerprint(16)
+        weight = pow(base, q - 1, mask + 1)  # of a window's leading byte
+        mq1 = m - q + 1  # the shift of a hash no pattern q-gram has
 
     occ: list[int] = []
     cmps = fchecks = reads = hq_n = dist_n = kmp_n = 0
@@ -407,7 +375,7 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
     last_h = 0
 
     while k <= n:
-        hashed = j <= 1
+        hashed = q is not None and j <= 1
         if hashed:
             # --- alignment phase: hash until a shift aligns a q-gram of p ---
             while True:
@@ -451,8 +419,9 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
             j = 1
             i = k - m + 1
         # --- comparison or border phase: extend the match held in j, then
-        # a dist-or-kmp or kmp shift.  A first-byte mismatch takes the dist
-        # shift (ks[1] = 1 <= dist) and leaves j <= 0: hash again next. ---
+        # a kmp shift, or the larger of the dist and kmp shifts after an
+        # alignment.  There a first-byte mismatch takes the dist shift
+        # (ks[1] = 1 <= dist) and leaves j <= 0: hash again next. ---
         while j <= m and p[j - 1] == t[i - 1]:
             cmps += 1
             i += 1
@@ -462,26 +431,29 @@ def _distq_core(text: bytes, profile: PatternProfile, rolling: bool,
         else:
             occ.append(i - m)
         amt = ks[j]
-        kind = SHIFT_KMP
+        by_dist = False
         if hashed:
             d = dist_tab[pos]
             if d >= j - 1 and d >= amt:
                 amt = d
-                kind = SHIFT_DIST
+                by_dist = True
         j -= amt
+        if j == 0:  # resume at the next text byte against the pattern head,
+            i += 1  # under the same window end; distq then hashes anew
+            j = 1
         k = i + m - j
         if k <= n:
-            windows += 1  # dist and kmp shifts are >= 1
-            if kind == SHIFT_DIST:
+            if by_dist:
                 dist_n += 1
             else:
                 kmp_n += 1
             if trace:
-                log.shifts.append((kind, amt))
+                log.shifts.append((SHIFT_DIST if by_dist else SHIFT_KMP, amt))
+    # dist and kmp shifts are >= 1: each recorded one opens a window
     return SearchOutcome(occ, SearchStats(
         char_comparisons=cmps - fchecks, first_char_checks=fchecks,
         hashed_char_reads=reads, hq_shifts=hq_n, dist_shifts=dist_n,
-        kmp_shifts=kmp_n, windows=windows), log)
+        kmp_shifts=kmp_n, windows=windows + dist_n + kmp_n), log)
 
 
 def distq_search(text: bytes, profile: PatternProfile,
@@ -489,7 +461,7 @@ def distq_search(text: bytes, profile: PatternProfile,
     """Distance-shift matcher; every window hash is computed from scratch."""
     if engine is not None and not trace:
         return engine.distq(profile.pattern, text, profile.q, False)
-    return _distq_core(text, profile, rolling=False, trace=trace)
+    return _distq_core(text, profile.pattern, profile.q, False, trace)
 
 
 def ldistq_search(text: bytes, profile: PatternProfile,
@@ -502,7 +474,7 @@ def ldistq_search(text: bytes, profile: PatternProfile,
     """
     if engine is not None and not trace:
         return engine.distq(profile.pattern, text, profile.q, True)
-    return _distq_core(text, profile, rolling=True, trace=trace)
+    return _distq_core(text, profile.pattern, profile.q, True, trace)
 
 
 # The one list of algorithms: name -> (runner, takes_q).  A runner maps

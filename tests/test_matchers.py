@@ -74,7 +74,21 @@ def test_empty_pattern_rejected_everywhere():
 # --- kmp ---
 
 def test_kmp_golden():
-    assert kmp_search(TEXT, PATTERN).occurrences == [22]
+    # kmp hashes nothing: only kmp shifts, no positions and no hash ends
+    stats = SearchStats(char_comparisons=36, kmp_shifts=10, windows=11)
+    for out in (kmp_search(TEXT, PATTERN), kmp_search(TEXT, PATTERN, True)):
+        assert (out.occurrences, out.stats) == ([22], stats)
+    assert out.trace.shifts == [("kmp", 3), ("kmp", 1), ("kmp", 3),
+                                ("kmp", 1), ("kmp", 2), ("kmp", 3),
+                                ("kmp", 3), ("kmp", 1), ("kmp", 1), ("kmp", 3)]
+    assert out.trace.positions == out.trace.hash_ends == []
+    out = kmp_search(fibonacci_string(12), b"abaab", trace=True)
+    assert len(out.occurrences) == 33
+    assert out.stats == SearchStats(char_comparisons=163, kmp_shifts=53,
+                                    windows=54)
+    assert out.trace.shifts == [("kmp", int(amt)) for amt in
+                                "32332323323323233232332332323323323233232"
+                                "332332323323"]
 
 
 def test_kmp_periodic_text_comparison_bound():

@@ -537,8 +537,8 @@ def _python_loop(name, args):
         out = _on_python(matchers.hashq_search, args[1], args[0], args[2])
     else:
         pattern, text, q, rolling = args
-        out = _on_python(matchers._distq_core, text,
-                         PatternProfile(pattern, q), rolling, False)
+        search = matchers.ldistq_search if rolling else matchers.distq_search
+        out = _on_python(search, text, PatternProfile(pattern, q))
     return out
 
 
