@@ -13,9 +13,11 @@
  * polynomials mod 2^16 or 2^8.  Three things differ from the Python loops
  * in form only: hashq and distq verify a window 8 bytes at a time (agree),
  * while char_comparisons still counts byte tests, the bytes matched plus
- * the failing one; the searches store positions in a block on the C stack,
- * which becomes ints outside the loops (add, flush); and hashq and distq
- * share one alignment step (align), which takes a full shift without
+ * the failing one; the searches hold positions as 8-byte C integers, in a
+ * block on the C stack and a heap spill that doubles (add, flush), up to
+ * 16 B per occurrence until they return, and make the list of ints once,
+ * at its final length, after distq has cleaned HQ (result); and hashq and
+ * distq share one alignment step (align), which takes a full shift without
  * waiting for its table load and then hashes two windows at once.  The
  * word compare is written for little-endian and picks clz on a big-endian
  * build at compile time; only little-endian was tested. */
@@ -30,10 +32,11 @@ typedef long long i64;
  * (as is hashq's 8-bit one, on its stack): entry h is m - q + 1 - hq[h],
  * that is p - q + 1 for the rightmost pattern q-gram ending at p that hashes
  * to h, and 0 ("clean") when none does.  A distq call sets the entries of
- * its pattern's q-grams and clears them before it makes its records (which
- * may start the GC, and so Python code that searches) or releases a buffer,
- * on every path, holding the GIL throughout (list appends and new ints never
- * start the GC).  HQ is so all clean between calls; a search touches O(m). */
+ * its pattern's q-grams and clears them before it makes any Python object
+ * (which may start the GC, and so Python code that searches) or releases a
+ * buffer, on every path, holding the GIL throughout: in between it keeps
+ * its occurrences as C integers (flush).  HQ is so all clean between calls;
+ * a search touches O(m). */
 static uint32_t HQ[65536];
 
 /* Where the hot loops sit.  kmp starts on a 64-byte boundary with every
@@ -43,28 +46,37 @@ static uint32_t HQ[65536];
  * to placement: distq ran 12-25 % slower on Fibonacci text with its
  * comparison loop across a 64-byte line than inside one, kmp 29 % slower
  * 32 bytes away (and about 10 % slower under LOOPS_PLACED than PLACED), and
- * hashq 3 % slower 16 bytes away.  After an edit, compare `objdump -d` and
+ * hashq 3 % slower 16 bytes away.  kmp's set-up still moves its loop: it
+ * reads the text before or after kmp_fill, whichever keeps the loop where
+ * it was.  kmp is also `hot`, which puts it first in the text (.text.hot),
+ * so edits to the other functions do not move it: with the same offsets
+ * mod 64, its loop ran up to 10 % slower on short sigma = 95 records at
+ * some addresses than at others.  After an edit, compare `objdump -d` and
  * a paired timing of each loop with the parent. */
-#define PLACED __attribute__((aligned(64), optimize("align-labels=16")))
+#define PLACED \
+    __attribute__((hot, aligned(64), optimize("align-labels=16")))
 #define LOOPS_PLACED \
     __attribute__((optimize("align-loops=64", "align-jumps=64")))
 
-/* The tables one call built, its occurrences (the list `occ`, then the
- * `n` 1-based positions in `block` not yet appended to it), and its
- * pattern and text.  `block` lives on the C stack and is never zeroed
- * (`Args a = {0}` would clear it on every call): take() sets tab, occ
- * and n.  Those come first, at short stack offsets: after the buffers
- * they lengthened kmp's set-up enough to move its loop 32 bytes, and kmp
- * ran 8-14 % slower on Fibonacci text.  `block` is small because every
- * call pays for its stack: with 512 entries (4 KB) perfbench's
- * short-queries read about 2 % slower on every matcher, with 64 at par. */
+/* The tables one call built, its occurrences, and its pattern and text.
+ * The occurrences are 1-based positions held as 8-byte C integers until
+ * the search returns: the `n` newest in `block`, the `used` before them in
+ * `spill`, a heap buffer of `cap` entries (NULL until the first block
+ * fills).  `block` lives on the C stack and is never zeroed (`Args a = {0}`
+ * would clear it on every call): take() sets the other fields.  tab and n
+ * come first, at short stack offsets: after the buffers they lengthened
+ * kmp's set-up enough to move its loop 32 bytes, and kmp ran 8-14 % slower
+ * on Fibonacci text.  `block` is small because every call pays for its
+ * stack: with 512 entries (4 KB) perfbench's short-queries read about 2 %
+ * slower on every matcher, with 64 at par. */
 #define BLOCK 64
 typedef struct {
     uint32_t *tab;
-    PyObject *occ;
     Py_ssize_t n;
     Py_buffer p, t;
     Py_ssize_t block[BLOCK];
+    Py_ssize_t *spill;
+    Py_ssize_t used, cap;
 } Args;
 
 /* What bind() gave (NULL before), and the SearchOutcome field names and
@@ -75,12 +87,12 @@ static PyObject *StatsNames, *Fields[3], *Empty;
 /* The pattern and text buffers of a search into `a`, then q and rolling
  * where it takes them (non-NULL), checked: 1 <= q <= min(m, 8), or a
  * non-empty pattern for a search without q, and m + 1 < 2^32.  Sets tab,
- * occ and n; 0 with an error set and no buffer held on failure.  Out of
- * line, so the searches' set-up stays short. */
+ * n, spill, used and cap; 0 with an error set and no buffer held on
+ * failure.  Out of line, so the searches' set-up stays short. */
 __attribute__((noinline)) static int take(Args *a, PyObject *const *args,
         Py_ssize_t nargs, int *q, int *rolling) {
     long v = 1;  /* with no q, the check of v below is m >= 1 */
-    a->tab = NULL, a->occ = NULL, a->n = 0;
+    a->tab = NULL, a->n = 0, a->spill = NULL, a->used = a->cap = 0;
     if (Stats == NULL)
         PyErr_SetString(PyExc_RuntimeError, "engine not bound: call bind()");
     else if (nargs != 2 + (q != NULL) + (rolling != NULL))
@@ -112,20 +124,22 @@ __attribute__((noinline)) static int take(Args *a, PyObject *const *args,
     return 0;
 }
 
-/* Append the block's positions to `occ` as ints and empty the block; 0 on
- * failure.  Kept out of the search loops.  It creates only ints and grows
- * `occ`, which start no garbage collection, so distq may call it while
- * HQ holds its pattern's entries; a new list per block would not do, as
- * PyList_New may start one. */
+/* Move the block's positions to the end of the spill, which doubles from
+ * 4 * BLOCK entries when full, and empty the block; 0 if the spill cannot
+ * grow, with no error set, since an exception is a Python object:
+ * result() sets it.  Kept out of the search loops. */
 __attribute__((noinline)) static int flush(Args *a) {
-    for (Py_ssize_t x = 0; x < a->n; x++) {
-        PyObject *v = PyLong_FromSsize_t(a->block[x]);
-        int rc = v != NULL && PyList_Append(a->occ, v) == 0;
-        Py_XDECREF(v);
-        if (!rc)
+    if (a->used + a->n > a->cap) {
+        Py_ssize_t cap = a->cap ? 2 * a->cap : 4 * BLOCK;
+        Py_ssize_t *spill = NULL;
+        if (cap <= PY_SSIZE_T_MAX / (Py_ssize_t)sizeof *spill)
+            spill = PyMem_RawRealloc(a->spill, cap * sizeof *spill);
+        if (spill == NULL)
             return 0;
+        a->spill = spill, a->cap = cap;
     }
-    a->n = 0;
+    memcpy(a->spill + a->used, a->block, a->n * sizeof *a->block);
+    a->used += a->n, a->n = 0;
     return 1;
 }
 
@@ -172,26 +186,41 @@ static int put(PyObject *r, PyObject *name, PyObject *v) {
     return ok;
 }
 
-/* Free the tables and release the buffers of `a`, then append the rest
- * of its block; its SearchOutcome, or NULL unless `ok`.  The records are
- * made by object.__new__ and get their fields in vars() order. */
+/* Free the tables and release the buffers of `a`, then make its list of
+ * occurrences, at its final length, from the spill and the block, and
+ * free the spill; its SearchOutcome, or NULL unless `ok`.  The records are
+ * made by object.__new__ and get their fields in vars() order.  The first
+ * Python object of a search is made here, so distq calls it only once HQ
+ * is clean. */
 static PyObject *result(Args *a, int ok, i64 cmps, i64 fchecks, i64 reads,
                         i64 hq_n, i64 dist_n, i64 kmp_n, i64 windows) {
     i64 count[] = {cmps, fchecks, reads, hq_n, dist_n, kmp_n, windows};
-    PyObject *stats = NULL, *out = NULL;
+    PyObject *occ = NULL, *stats = NULL, *out = NULL;
+    Py_ssize_t x, total = a->used + a->n;
     PyMem_RawFree(a->tab);
     PyBuffer_Release(&a->p);
     PyBuffer_Release(&a->t);
-    ok = ok && flush(a)
+    if (!ok && !PyErr_Occurred())
+        PyErr_NoMemory();  /* the spill could not grow */
+    ok = ok && (occ = PyList_New(total)) != NULL;
+    for (x = 0; ok && x < total; x++) {
+        PyObject *v = PyLong_FromSsize_t(
+            x < a->used ? a->spill[x] : a->block[x - a->used]);
+        if (!(ok = v != NULL))
+            break;
+        PyList_SET_ITEM(occ, x, v);
+    }
+    PyMem_RawFree(a->spill);
+    ok = ok
         && (stats = PyBaseObject_Type.tp_new(Stats, Empty, NULL)) != NULL
         && (out = PyBaseObject_Type.tp_new(Outcome, Empty, NULL)) != NULL;
-    for (Py_ssize_t x = 0; ok && x < 7; x++)
+    for (x = 0; ok && x < 7; x++)
         ok = put(stats, PyTuple_GET_ITEM(StatsNames, x),
                  PyLong_FromLongLong(count[x]));
-    ok = ok && put(out, Fields[0], Py_NewRef(a->occ))
+    ok = ok && put(out, Fields[0], Py_NewRef(occ))
         && put(out, Fields[1], Py_NewRef(stats))
         && put(out, Fields[2], Py_NewRef(Py_None));
-    Py_XDECREF(a->occ);
+    Py_XDECREF(occ);
     Py_XDECREF(stats);
     if (!ok)
         Py_CLEAR(out);
@@ -259,10 +288,9 @@ PLACED static PyObject *kmp(PyObject *self, PyObject *const *args,
     const unsigned char *P = a.p.buf;
     Py_ssize_t m = a.p.len, i = 1, j = 1;
     i64 cmps = 0, kmp_n = 0;
-    int ok = (ks = a.tab = kmp_fill(P, m, 0)) != NULL
-        && (a.occ = PyList_New(0)) != NULL;
-    const unsigned char *T = a.t.buf;  /* after the calls: see PLACED */
+    const unsigned char *T = a.t.buf;  /* before the call: see PLACED */
     Py_ssize_t n = a.t.len;
+    int ok = (ks = a.tab = kmp_fill(P, m, 0)) != NULL;
     if (!ok || n < m)
         return result(&a, ok, 0, 0, 0, 0, 0, 0, 0);
     Py_ssize_t last_start = n - m + 1;  /* rightmost alignment that fits */
@@ -358,13 +386,15 @@ LOOPS_PLACED static PyObject *hashq(PyObject *self, PyObject *const *args,
     int q;
     if (!take(&a, args, nargs, &q, NULL))
         return NULL;
+    if (q < 1 || q > 8)  /* take() checked it: no test of q in align */
+        __builtin_unreachable();
     const unsigned char *P = a.p.buf, *T = a.t.buf;
-    Py_ssize_t n = a.t.len, m = a.p.len, j, adv = 0;
+    Py_ssize_t n = a.t.len, m = a.p.len, j;
     i64 cmps = 0, dist_n = 0;
     Align al = {m, -1, 0, 0, 0, 0};  /* the first window ends at m */
-    int ok = (a.occ = PyList_New(0)) != NULL;
-    if (ok)  /* hash_tables(P, q, 8), and dist[m], the constant advance */
-        adv = scan(P, m, q, 8, tab, NULL);
+    int ok = 1;
+    /* hash_tables(P, q, 8), and dist[m], the constant advance */
+    Py_ssize_t adv = scan(P, m, q, 8, tab, NULL);
     while (ok && al.k <= n) {
         align(&al, T, n, q, 8, tab, m - q + 1, 1, 0);
         if (al.k > n)
@@ -395,8 +425,11 @@ LOOPS_PLACED static PyObject *distq(PyObject *self, PyObject *const *args,
     Py_ssize_t n = a.t.len, m = a.p.len, d;
     i64 cmps = 0, fchecks = 0, dist_n = 0, kmp_n = 0;
     Align al = {m, -1, 0, 0, 0, 0};
-    int ok = (ks = a.tab = kmp_fill(P, m, m + 1)) != NULL
-        && (a.occ = PyList_New(0)) != NULL;
+    int ok = (ks = a.tab = kmp_fill(P, m, m + 1)) != NULL;
+    /* hide from gcc that ok is ks != NULL: knowing it, gcc gave align's
+     * pair step 7 more instructions and 3 more stack accesses, and distq
+     * ran 2-5 % slower on random text */
+    __asm__("" : "+r"(ok));
     int marked = ok;  /* HQ holds this pattern's entries until cleaned */
     if (marked)
         scan(P, m, q, 16, HQ, dist = ks + m + 2);

@@ -8,6 +8,7 @@ search texts that reach every entry of them.
 """
 
 import contextlib
+import gc
 import mmap
 import os
 import pathlib
@@ -346,10 +347,13 @@ def _fails(name, *args):
 
 @needs_engine
 def test_compiled_searches_keep_no_memory_between_calls():
-    # every reference a search makes is handed on or dropped, also where it
-    # fails: 1 000 more rounds of these calls leave nothing behind
+    # every reference a search makes is handed on or dropped, and every
+    # spill buffer freed (tracemalloc traces the raw allocator too), also
+    # where it fails: 1 000 more rounds of these calls leave nothing behind
     calls = [lambda: _searches(TEXT, PATTERN, 3),
              lambda: _searches(TEXT * 40, PATTERN, 2),
+             # 400 occurrences: the spill outgrows its first 256 entries
+             lambda: _searches(b"a" * 400, b"a", 1),
              lambda: _fails("kmp", b"", TEXT),
              lambda: _fails("hashq", PATTERN, TEXT, 9),
              lambda: _fails("distq", PATTERN, TEXT.decode(), 3, False)]
@@ -365,6 +369,37 @@ def test_compiled_searches_keep_no_memory_between_calls():
     finally:
         tracemalloc.stop()
     assert grown < 4096, grown
+
+
+@needs_engine
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 255, 256, 257, 513,
+                                   10_000])
+def test_any_number_of_occurrences_is_returned_in_order(count):
+    # A search holds its positions in C until it returns: a block of 64,
+    # then a spill of 256 entries that doubles as it fills.  These counts
+    # sit on each side of a full block and of the spill's first steps.
+    # The texts: a run of a's, where every window is an occurrence, and
+    # spaced copies of a pattern, searched through a memoryview.
+    for p, text in ((b"a" * 8, b"a" * (count + 7)),
+                    (b"abcaabca", memoryview(b"abcaabcax" * count))):
+        for name, args in (("kmp", []), ("hashq", [3]), ("distq", [3, False]),
+                           ("distq", [3, True])):
+            got = getattr(native.engine, name)(p, text, *args)
+            assert len(got.occurrences) == count, (name, p, args)
+            assert got == _python_loop(name, [p, bytes(text), *args]), \
+                (name, p, args)
+
+
+@needs_engine
+def test_a_fibonacci_factor_with_28_656_occurrences():
+    # the most frequent m = 8 factor of the k = 27 Fibonacci string: the
+    # spill doubles seven times, from 256 to 32 768 entries
+    text, p = fibonacci_string(27), b"abaababa"
+    for name, args in (("kmp", []), ("hashq", [3]), ("distq", [3, False]),
+                       ("distq", [3, True])):
+        got = getattr(native.engine, name)(p, text, *args)
+        assert len(got.occurrences) == 28_656
+        assert got == _python_loop(name, [p, text, *args]), (name, args)
 
 
 class _NoTruth:
@@ -434,6 +469,51 @@ def test_engine_hq_table_is_clean_after_every_call():
         for probe in (case, (TEXT, PATTERN[::-1], 3)):
             assert _distq_both(*probe) == _on_python(_distq_both, *probe), \
                 probe
+
+
+class _SearchesWhenCollected:
+    """A cycle whose collection runs a compiled distq search."""
+
+    def __init__(self, args, found):
+        self.me, self.args, self.found = self, args, found
+
+    def __del__(self):
+        self.found.append(native.engine.distq(*self.args))
+
+
+@needs_engine
+def test_a_collection_during_a_search_leaves_every_result_exact():
+    # The garbage collector may start whenever a Python object is made, and
+    # run __del__ methods that search.  A search makes its first Python
+    # object only once its entries of the engine's table are cleared, so a
+    # nested search can neither see nor clear them.  With threshold 1, each
+    # search below starts a collection, which finds the cycle made just
+    # before it, whose search shares q-grams with the outer one.  The text
+    # holds 500 copies of each pattern between random bytes, so a search
+    # keeps going back to its alignment phase, which reads the table.
+    rng = random.Random(23)
+    p, other = bytes(rng.choices(b"acgt", k=8)), bytes(rng.choices(b"acgt",
+                                                                   k=6))
+    text = b"".join(bytes(rng.choices(b"acgt", k=rng.randint(0, 16))) + p
+                    + other for _ in range(500))
+    calls = [(pattern, text, q, rolling) for pattern in (p, other)
+             for q in (2, 3) for rolling in (False, True)]
+    want = [_python_loop("distq", list(args)) for args in calls]
+    assert min(len(out.occurrences) for out in want) > 320
+    found, got, thresholds = [], [], gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(1)
+    try:
+        for k, args in enumerate(calls):
+            _SearchesWhenCollected(calls[k - 1], found)
+            got.append(native.engine.distq(*args))
+    finally:
+        gc.set_threshold(*thresholds)
+        gc.collect()
+    assert got == want
+    assert sorted(found, key=repr) == sorted(want, key=repr)
+    for probe in ((TEXT, PATTERN[::-1], 3), (text, p[2:], 2)):
+        assert _distq_both(*probe) == _on_python(_distq_both, *probe), probe
 
 
 def test_threads_searching_at_once_get_their_own_results():
