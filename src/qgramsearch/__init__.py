@@ -14,7 +14,8 @@ q.  The bench and corpus names are imported on first use, so a search loads
 neither module.
 """
 
-from .errors import BenchmarkError, ConfigurationError, Error, GenerationError
+from .errors import BenchmarkError, ConfigurationError, Error, \
+    GenerationError, load_text
 from .matchers import ALGORITHMS, MAX_Q, PatternProfile, SearchOutcome, \
     SearchStats, SearchTrace, build_profile, distq_search, hashq_search, \
     kmp_search, kmp_shift_table, ldistq_search, naive_search

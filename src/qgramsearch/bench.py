@@ -20,11 +20,10 @@ import io
 import random
 from time import perf_counter
 
-from .corpus import CorpusSpec, _check_fib_order, _check_load, \
-    alphabet_bytes, fibonacci_string, load_text, \
-    random_text_with_occurrences, sample_patterns
+from .corpus import CorpusSpec, _check_fib_order, alphabet_bytes, \
+    fibonacci_string, random_text_with_occurrences, sample_patterns
 from .errors import BenchmarkError, ConfigurationError, _FrozenRecord, \
-    _require_ints
+    _check_load, _require_ints, load_text
 from .matchers import ALGORITHMS, MATCHERS, SearchStats, clamp_q
 
 CSV_COLUMNS = ("algo", "q", "m", "n", "occ", "reps", "total_ms",

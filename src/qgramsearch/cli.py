@@ -11,16 +11,17 @@ Subcommands:
 Literal --text/--pattern arguments are encoded latin-1 so each character
 maps to the byte of its code point.  A q larger than the pattern (or 8) is
 clamped with a warning; everything else invalid is a hard error.  Each
-subcommand imports the modules only it uses: a search loads no harness.
+subcommand imports the modules only it uses, and the parser gets the
+arguments of only the subcommand that runs: a search loads neither the
+corpus module nor the harness, and builds no ``gen`` or ``bench``
+arguments.
 """
-
-from __future__ import annotations
 
 import argparse
 import os
 import sys
 
-from .errors import ConfigurationError, Error
+from .errors import ConfigurationError, Error, load_text
 from .matchers import ALGORITHMS, MATCHERS, MAX_Q, clamp_q
 
 _BLOCK = 4096  # positions per write in run_search_command
@@ -76,7 +77,6 @@ def _encode_literal(value: str, what: str) -> bytes:
 def _load_operand(literal, path, strip_newlines: bool, what: str) -> bytes:
     if literal is not None:
         return _encode_literal(literal, what)
-    from .corpus import load_text
     return load_text(path, strip_newlines=strip_newlines)
 
 
@@ -176,14 +176,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qgramsearch",
-        description="Byte-level exact string matching with q-gram distance "
-                    "shift tables.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_search = sub.add_parser("search", help="find a pattern in a text")
+def _search_arguments(p_search: argparse.ArgumentParser) -> None:
     p_search.add_argument("--algo", choices=ALGORITHMS, default="distq")
     p_search.add_argument("--q", type=int, default=3,
                           help="q-gram size (clamped to min(q, m, 8))")
@@ -199,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print 0-based positions instead of 1-based")
     p_search.set_defaults(func=_cmd_search)
 
-    p_gen = sub.add_parser("gen", help="generate a corpus file")
+
+def _gen_arguments(p_gen: argparse.ArgumentParser) -> None:
     gen_sub = p_gen.add_subparsers(dest="generator", required=True)
     p_fib = gen_sub.add_parser("fib", help="Fibonacci string")
     p_fib.add_argument("--k", type=int, required=True, help="order, 1..40")
@@ -216,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_occ.add_argument("--pattern-out", required=True)
     p_occ.set_defaults(func=_cmd_gen_occ)
 
-    p_bench = sub.add_parser("bench", help="run a benchmark and emit a report")
+
+def _bench_arguments(p_bench: argparse.ArgumentParser) -> None:
     grp = p_bench.add_mutually_exclusive_group(required=True)
     grp.add_argument("--text-file", help="benchmark corpus from a file")
     grp.add_argument("--fib",
@@ -248,11 +243,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", default="-",
                          help="output path, '-' for stdout")
     p_bench.set_defaults(func=_cmd_bench)
+
+
+# subcommand -> (its help line, the builder of its arguments)
+_SUBCOMMANDS = {
+    "search": ("find a pattern in a text", _search_arguments),
+    "gen": ("generate a corpus file", _gen_arguments),
+    "bench": ("run a benchmark and emit a report", _bench_arguments),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI parser.  Every subcommand is listed with its help, but only
+    ``command``'s arguments are built, or all of them when it is None."""
+    parser = argparse.ArgumentParser(
+        prog="qgramsearch",
+        description="Byte-level exact string matching with q-gram distance "
+                    "shift tables.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_arguments(subparser)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads the subcommand's arguments only after its name; with
+    # any other first word (-h, an unknown option) build them all, so that
+    # help and error texts stay those of the full parser
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse printed its own message

@@ -1,4 +1,4 @@
-"""Corpus generation and loading.
+"""Corpus generation.
 
 Texts are bytes.  Alphabets of size sigma map to contiguous byte ranges:
 from ``a`` when sigma <= 26, otherwise from byte 32 (printable ASCII,
@@ -8,7 +8,6 @@ Twister) seeded explicitly, so every corpus is reproducible from its spec.
 
 from __future__ import annotations
 
-import os
 import random
 
 from .errors import ConfigurationError, GenerationError, _FrozenRecord, \
@@ -150,25 +149,3 @@ def sample_patterns(text: bytes, m: int, count: int, seed: int) -> list[bytes]:
     rng = random.Random(seed)
     last = len(t) - m
     return [t[s:s + m] for s in (rng.randint(0, last) for _ in range(count))]
-
-
-def _check_load(path, strip_newlines) -> str | bytes:
-    """``os.fspath(path)``, raising ConfigurationError on a non-path such as
-    an int, which ``open`` would take as a file descriptor, and then on a
-    ``strip_newlines`` that is not a bool."""
-    try:
-        path = os.fspath(path)
-    except TypeError:
-        raise ConfigurationError("path must be a str, bytes or os.PathLike, "
-                                 f"got {path!r}") from None
-    if not isinstance(strip_newlines, bool):
-        raise ConfigurationError(
-            f"strip_newlines must be a bool, got {strip_newlines!r}")
-    return path
-
-
-def load_text(path, *, strip_newlines: bool = False) -> bytes:
-    """Read a file as raw bytes, optionally dropping line-feed bytes."""
-    with open(_check_load(path, strip_newlines), "rb") as fh:
-        data = fh.read()
-    return data.replace(b"\n", b"") if strip_newlines else data

@@ -1,11 +1,14 @@
-"""Exception types, the record base classes and the int check shared
-across the package.
+"""Exception types, the record base classes, the int check shared across
+the package, and its one file reader, ``load_text``, which lives here so
+that a search reads its files without loading the corpus module.
 
 Every rejected input (an empty pattern, a q outside [1, min(m, 8)], a
 hash width other than 8 or 16 bits, a bad CLI or benchmark setting) raises
 :class:`ConfigurationError`, a ``ValueError``; the CLI exits 2 on it.
 The other subclasses mark the run-time failures, on which the CLI exits 1.
 """
+
+import os
 
 
 class Error(Exception):
@@ -32,6 +35,28 @@ def _require_ints(what: str, *values, least: int | None = None) -> None:
             raise ConfigurationError(f"{what} must be an int, got {value!r}")
         if least is not None and value < least:
             raise ConfigurationError(f"{what} must be >= {least}, got {value}")
+
+
+def _check_load(path, strip_newlines) -> str | bytes:
+    """``os.fspath(path)``, raising ConfigurationError on a non-path such as
+    an int, which ``open`` would take as a file descriptor, and then on a
+    ``strip_newlines`` that is not a bool."""
+    try:
+        path = os.fspath(path)
+    except TypeError:
+        raise ConfigurationError("path must be a str, bytes or os.PathLike, "
+                                 f"got {path!r}") from None
+    if not isinstance(strip_newlines, bool):
+        raise ConfigurationError(
+            f"strip_newlines must be a bool, got {strip_newlines!r}")
+    return path
+
+
+def load_text(path, *, strip_newlines: bool = False) -> bytes:
+    """Read a file as raw bytes, optionally dropping line-feed bytes."""
+    with open(_check_load(path, strip_newlines), "rb") as fh:
+        data = fh.read()
+    return data.replace(b"\n", b"") if strip_newlines else data
 
 
 class _Record:

@@ -70,8 +70,6 @@ Hash-shift events may carry amount 0: the table confirmed the current
 alignment without moving it.
 """
 
-from __future__ import annotations
-
 from .errors import ConfigurationError, _FrozenRecord, _Record
 from .native import engine
 

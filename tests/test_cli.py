@@ -26,6 +26,11 @@ def test_search_finds_golden_occurrence(capsys, algo):
     assert (code, out) == (0, "22\n")
 
 
+def test_main_takes_any_iterable_of_arguments(capsys):
+    code = main(iter(["search", "--text", TEXT, "--pattern", PATTERN]))
+    assert (code, capsys.readouterr().out) == (0, "22\n")
+
+
 def test_search_zero_based(capsys):
     code, out, _ = run(capsys, "search", "--zero-based",
                        "--text", TEXT, "--pattern", PATTERN)
@@ -98,6 +103,25 @@ def test_search_missing_file_exits_2(capsys):
                        "--pattern", "a")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("flag, other", [("--text-file", "--pattern"),
+                                         ("--pattern-file", "--text")])
+def test_search_directory_operand_exits_2(capsys, tmp_path, flag, other):
+    code, out, err = run(capsys, "search", flag, str(tmp_path), other, "a")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Is a directory" in err
+
+
+@pytest.mark.parametrize("data, flags", [(b"", ()),
+                                         (b"\n\n", ("--strip-newlines",))])
+def test_search_empty_pattern_file_exits_2(capsys, tmp_path, data, flags):
+    pf = tmp_path / "p.bin"
+    pf.write_bytes(data)
+    code, out, err = run(capsys, "search", *flags, "--text", TEXT,
+                         "--pattern-file", str(pf))
+    assert (code, out, err) == (2, "", "error: pattern must be non-empty\n")
 
 
 def test_search_non_latin1_literal_exits_2(capsys):
@@ -315,8 +339,31 @@ def test_bench_bad_q_list_exits_2(capsys):
     assert code == 2
 
 
-def test_parser_exposes_all_subcommands():
-    parser = build_parser()
-    text = parser.format_help()
-    for name in ("search", "gen", "bench"):
-        assert name in text
+def test_parser_exposes_all_subcommands(capsys):
+    text = build_parser().format_help()
+    assert run(capsys, "--help") == (0, text, "")
+    assert "{search,gen,bench}" in text
+    for line in ("find a pattern in a text", "generate a corpus file",
+                 "run a benchmark and emit a report"):
+        assert line in text
+
+
+@pytest.mark.parametrize("words", [("search",), ("gen",), ("gen", "fib"),
+                                   ("gen", "occ"), ("bench",)],
+                         ids="-".join)
+def test_subcommand_help_matches_the_full_parser(capsys, words):
+    # main builds only the invoked subcommand's arguments; none may be lost
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([*words, "--help"])
+    full = capsys.readouterr().out
+    assert full.startswith("usage: qgramsearch " + " ".join(words))
+    assert run(capsys, *words, "--help") == (0, full, "")
+
+
+def test_an_unknown_first_word_gets_the_full_parsers_error(capsys):
+    argv = ["--foo", "search", "--text", "a", "--pattern", "b"]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    full = capsys.readouterr().err
+    assert full.endswith("error: unrecognized arguments: --foo\n")
+    assert run(capsys, *argv) == (2, "", full)

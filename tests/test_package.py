@@ -146,8 +146,8 @@ def _package_modules(loaded):
     return {name for name in loaded if name.split(".")[0] == "qgramsearch"}
 
 
-# the package modules a literal search loads; the compiled engine is one
-# of them where it could be built
+# the package modules a search loads, from literals or from files; the
+# compiled engine is one of them where it could be built
 SEARCH_PATH = {"qgramsearch", "qgramsearch.cli", "qgramsearch.errors",
                "qgramsearch.matchers", "qgramsearch.native"} | (
     {"qgramsearch._engine"} if qgramsearch.ENGINE == "c" else set())
@@ -161,10 +161,11 @@ def test_importing_the_cli_loads_only_the_search_path(tmp_path):
     loaded = _modules_after(search.format(
         "'--text', 'abcabc', '--pattern', 'bc'"))
     assert _package_modules(loaded) == SEARCH_PATH
+    assert "__future__" not in loaded
     (tmp_path / "t").write_bytes(b"abcabc")
     loaded = _modules_after(search.format(
         "'--text-file', 't', '--pattern', 'bc'"), tmp_path)
-    assert _package_modules(loaded) == SEARCH_PATH | {"qgramsearch.corpus"}
+    assert _package_modules(loaded) == SEARCH_PATH
 
 
 def test_a_file_search_loads_no_harness(tmp_path):
@@ -174,8 +175,8 @@ def test_a_file_search_loads_no_harness(tmp_path):
         "from qgramsearch import cli\n"
         "assert cli.main(['search', '--text-file', 't', '--pattern-file',"
         " 'p']) == 0", tmp_path)
-    assert "qgramsearch.corpus" in loaded
-    assert loaded & {"qgramsearch.bench", "csv", "dataclasses", "inspect",
+    assert _package_modules(loaded) == SEARCH_PATH
+    assert loaded & {"__future__", "csv", "dataclasses", "inspect",
                      "pathlib"} == set()
 
 
