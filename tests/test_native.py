@@ -276,6 +276,47 @@ def test_searches_read_only_the_slices_they_are_given(m):
 
 
 @needs_engine
+@pytest.mark.parametrize("c", [0x00, 0x01, 0x61, 0xFF])
+def test_kmp_skips_to_the_next_first_pattern_byte(c):
+    # After a kmp shift past the text byte, the compiled kmp finds the next
+    # text byte equal to P[0] with memchr, up to the last alignment, and
+    # counts a byte test and a shift for each byte it skips.  Filler texts
+    # of m to m + 69 bytes, none of them c, cross memchr's 16-, 32- and
+    # 64-byte vector widths; c alone, or the pattern (cut at the end of the
+    # text), goes at every start, also past the last alignment.  Each text
+    # is a slice between 9 bytes c on either side, so a read outside it
+    # adds an occurrence or a skipped byte.
+    rng = random.Random(c)
+    other = [b for b in range(256) if b != c]
+    for m in (1, 2, 3, 8, 17):
+        p = bytes([c, *rng.choices(other, k=m - 1)])
+        for n in range(m, m + 70):
+            filler = bytes(rng.choices(other, k=n))
+            texts = [filler]
+            for s in range(n):
+                texts += [filler[:s] + p[:1] + filler[s + 1:],
+                          filler[:s] + p[:n - s] + filler[s + m:]]
+            for t in texts:
+                text = memoryview(bytes([c] * 9) + t + bytes([c] * 9))[9:-9]
+                assert native.engine.kmp(p, text) == \
+                    _python_loop("kmp", [p, t]), (p, t)
+
+
+@pytest.mark.parametrize("m", [1, 8, 16])
+def test_kmp_counts_a_text_without_the_first_pattern_byte(m):
+    # every alignment fails on its first byte test, and all but the last
+    # take a shift, on both engines
+    rng = random.Random(m)
+    text = bytes(rng.choices(range(1, 256), k=500))
+    p, n = bytes([0]) + text[100:99 + m], len(text)
+    for got in (matchers.kmp_search(text, p), _python_loop("kmp", [p, text])):
+        assert got == matchers.SearchOutcome(
+            [], matchers.SearchStats(char_comparisons=n - m + 1,
+                                     kmp_shifts=n - m, windows=n - m + 1),
+            None)
+
+
+@needs_engine
 @pytest.mark.parametrize("m, q", [(1, 1), (3, 3), (8, 8), (5, 4), (10, 8),
                                   (6, 3), (24, 8)])
 def test_pairs_of_full_shifts_count_like_single_steps(m, q):
