@@ -2,23 +2,24 @@
 
 The package bundles two distance-shift matchers (``distq_search`` and its
 rolling-hash variant ``ldistq_search``), three baselines (naive, strong
-border, 8-bit hash shift), their q check, the one Python evaluation of
-their q-gram hashes (``qgram_hashes``, not exported) and the Python
-builders of their shift tables (all in :mod:`~qgramsearch.matchers`),
+border, 8-bit hash shift) and their q check (in
+:mod:`~qgramsearch.matchers`), their Python engine (in
+:mod:`~qgramsearch.pyengine`: the q-gram hashes, ``qgram_hashes`` not
+exported, the Python builders of the shift tables and the Python loops),
 corpus generators and a small benchmark harness.  See the README for the
 CLI.  ``ENGINE`` names the engine that untraced kmp, hashq, distq and
 ldistq searches run on: ``"c"`` (compiled on first import) or ``"python"``.
 ``kmp_shift_table`` builds its list in Python; the compiled searches build
 their own tables, and a ``PatternProfile`` is only a validated pattern and
-q.  The bench and corpus names are imported on first use, so a search loads
-neither module.
+q.  The bench, corpus and Python-engine names are imported on first use,
+so an untraced search loads none of those modules.
 """
 
 from .errors import BenchmarkError, ConfigurationError, Error, \
     GenerationError, load_text
 from .matchers import ALGORITHMS, MAX_Q, PatternProfile, SearchOutcome, \
     SearchStats, SearchTrace, build_profile, distq_search, hashq_search, \
-    kmp_search, kmp_shift_table, ldistq_search, naive_search
+    kmp_search, ldistq_search, naive_search
 from .native import ENGINE, ENGINE_REASON
 
 __version__ = "0.1.0"
@@ -36,10 +37,13 @@ __all__ = [
 
 
 def __getattr__(name):
-    """Import a bench or corpus name of ``__all__`` on first use, and keep
-    it here: bench imports corpus, so each name loads only what it needs."""
+    """Import a bench, corpus or Python-engine name of ``__all__`` on first
+    use, and keep it here: bench imports corpus, so each name loads only
+    what it needs."""
     from importlib import import_module
-    for module in ("corpus", "bench") if name in __all__ else ():
+    modules = ("pyengine",) if name == "kmp_shift_table" else \
+        ("corpus", "bench")
+    for module in modules if name in __all__ else ():
         value = getattr(import_module(f".{module}", __name__), name, None)
         if value is not None:
             globals()[name] = value

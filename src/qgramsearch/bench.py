@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+import sys
 from time import perf_counter
 
 from .corpus import CorpusSpec, _check_fib_order, alphabet_bytes, \
@@ -241,3 +242,98 @@ def emit_report(rows: list[ReportRow], format: str = "csv") -> str:
                          + " |")
         return "\n".join(lines) + "\n"
     raise ConfigurationError(f"unknown report format {format!r}")
+
+
+# --- ``qgramsearch bench``: cli.build_parser imports its arguments from here
+
+def _csv_ints(text: str, what: str) -> tuple[int, ...]:
+    try:
+        values = tuple(int(part) for part in text.split(",") if part != "")
+    except ValueError as exc:
+        raise ConfigurationError(f"bad {what} list {text!r}") from exc
+    if not values:
+        raise ConfigurationError(f"{what} list is empty")
+    return values
+
+
+def _cmd_bench(args) -> int:
+    if args.embed_n is None and (args.embed_sigma is not None
+                                 or args.embed_occ is not None):
+        raise ConfigurationError(
+            "--embed-sigma / --embed-occ apply only with --embed-n")
+    if args.strip_newlines and args.text_file is None:
+        raise ConfigurationError(
+            "--strip-newlines applies only with --text-file")
+    per_length = args.patterns_per_length
+    if per_length is None:
+        per_length = 1 if args.embed_n is not None else 3
+    if args.text_file is not None:
+        sources = [FileSource(args.text_file,
+                              strip_newlines=args.strip_newlines)]
+    elif args.fib is not None:
+        sources = [FibonacciSource(k) for k in _csv_ints(args.fib, "fib")]
+    else:
+        if args.embed_sigma is None:
+            raise ConfigurationError("--embed-n requires --embed-sigma")
+        occs = tuple(args.embed_occ) if args.embed_occ else (0,)
+        sources = [EmbedSource(n=args.embed_n, sigma=sigma, occs=occs)
+                   for sigma in _csv_ints(args.embed_sigma, "embed-sigma")]
+    _reject_repeats(sources, "corpus")
+    algos = tuple(ALGORITHMS) if args.algos == "all" else \
+        tuple(part for part in args.algos.split(",") if part)
+    qs, ms = _csv_ints(args.q, "q"), _csv_ints(args.m, "m")
+    rows = []
+    for source in sources:
+        rows.extend(run_benchmark(BenchSpec(
+            source=source,
+            algorithms=algos,
+            qs=qs,
+            pattern_lengths=ms,
+            patterns_per_length=per_length,
+            repetitions=args.reps,
+            trials=args.trials,
+            seed=args.seed,
+        )))
+    report = emit_report(rows, format=args.format)
+    if args.out == "-":
+        sys.stdout.write(report)
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(report)
+        print(f"wrote report to {args.out}", file=sys.stderr)
+    return 0
+
+
+def _bench_arguments(p_bench) -> None:
+    """Add the ``bench`` subcommand's arguments to its parser ``p_bench``."""
+    grp = p_bench.add_mutually_exclusive_group(required=True)
+    grp.add_argument("--text-file", help="benchmark corpus from a file")
+    grp.add_argument("--fib",
+                     help="comma list of Fibonacci orders K, one corpus each")
+    grp.add_argument("--embed-n", type=int,
+                     help="embedded-occurrence corpus of this length")
+    p_bench.add_argument("--embed-sigma",
+                         help="comma list of alphabet sizes for --embed-n, "
+                              "one corpus each")
+    p_bench.add_argument("--embed-occ", type=int, action="append",
+                         help="occurrence count for --embed-n (repeatable)")
+    p_bench.add_argument("--strip-newlines", action="store_true",
+                         help="drop LF bytes from --text-file")
+    p_bench.add_argument("--algos", default="all",
+                         help="comma list of algorithms, or 'all'")
+    p_bench.add_argument("--q", default="3", help="comma list of q values")
+    p_bench.add_argument("--m", default="8",
+                         help="comma list of pattern lengths")
+    p_bench.add_argument("--patterns-per-length", type=int,
+                         help="patterns sampled per length from --fib or "
+                              "--text-file (default 3)")
+    p_bench.add_argument("--reps", type=int, default=5,
+                         help="searches per timed trial")
+    p_bench.add_argument("--trials", type=int, default=3,
+                         help="trials; wall time is the best of them")
+    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--format", choices=("csv", "markdown"),
+                         default="csv")
+    p_bench.add_argument("--out", default="-",
+                         help="output path, '-' for stdout")
+    p_bench.set_defaults(func=_cmd_bench)

@@ -10,11 +10,11 @@ Subcommands:
 
 Literal --text/--pattern arguments are encoded latin-1 so each character
 maps to the byte of its code point.  A q larger than the pattern (or 8) is
-clamped with a warning; everything else invalid is a hard error.  Each
-subcommand imports the modules only it uses, and the parser gets the
-arguments of only the subcommand that runs: a search loads neither the
-corpus module nor the harness, and builds no ``gen`` or ``bench``
-arguments.
+clamped with a warning; everything else invalid is a hard error.  The
+``gen`` and ``bench`` arguments and handlers live next to the code they
+drive, in corpus.py and bench.py, and the parser gets the arguments of
+only the subcommand that runs: a search loads neither the corpus module
+nor the harness, and builds no ``gen`` or ``bench`` arguments.
 """
 
 import argparse
@@ -92,90 +92,6 @@ def _cmd_search(args) -> int:
                               zero_based=args.zero_based)
 
 
-def _cmd_gen_fib(args) -> int:
-    from .corpus import fibonacci_string
-    data = fibonacci_string(args.k)
-    with open(args.out, "wb") as fh:
-        fh.write(data)
-    print(f"wrote {len(data)} bytes to {args.out}", file=sys.stderr)
-    return 0
-
-
-def _cmd_gen_occ(args) -> int:
-    from .corpus import CorpusSpec, random_text_with_occurrences
-    corpus = random_text_with_occurrences(
-        CorpusSpec(n=args.n, sigma=args.sigma, m=args.m, occ=args.occ,
-                   seed=args.seed))
-    with open(args.out, "wb") as fh:
-        fh.write(corpus.text)
-    with open(args.pattern_out, "wb") as fh:
-        fh.write(corpus.pattern)
-    print(f"wrote {len(corpus.text)} bytes to {args.out}; pattern "
-          f"({len(corpus.pattern)} bytes, {corpus.occ} occurrences) to "
-          f"{args.pattern_out}", file=sys.stderr)
-    return 0
-
-
-def _csv_ints(text: str, what: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError as exc:
-        raise ConfigurationError(f"bad {what} list {text!r}") from exc
-    if not values:
-        raise ConfigurationError(f"{what} list is empty")
-    return values
-
-
-def _cmd_bench(args) -> int:
-    from .bench import BenchSpec, EmbedSource, FibonacciSource, \
-        FileSource, _reject_repeats, emit_report, run_benchmark
-    if args.embed_n is None and (args.embed_sigma is not None
-                                 or args.embed_occ is not None):
-        raise ConfigurationError(
-            "--embed-sigma / --embed-occ apply only with --embed-n")
-    if args.strip_newlines and args.text_file is None:
-        raise ConfigurationError(
-            "--strip-newlines applies only with --text-file")
-    per_length = args.patterns_per_length
-    if per_length is None:
-        per_length = 1 if args.embed_n is not None else 3
-    if args.text_file is not None:
-        sources = [FileSource(args.text_file,
-                              strip_newlines=args.strip_newlines)]
-    elif args.fib is not None:
-        sources = [FibonacciSource(k) for k in _csv_ints(args.fib, "fib")]
-    else:
-        if args.embed_sigma is None:
-            raise ConfigurationError("--embed-n requires --embed-sigma")
-        occs = tuple(args.embed_occ) if args.embed_occ else (0,)
-        sources = [EmbedSource(n=args.embed_n, sigma=sigma, occs=occs)
-                   for sigma in _csv_ints(args.embed_sigma, "embed-sigma")]
-    _reject_repeats(sources, "corpus")
-    algos = tuple(ALGORITHMS) if args.algos == "all" else \
-        tuple(part for part in args.algos.split(",") if part)
-    qs, ms = _csv_ints(args.q, "q"), _csv_ints(args.m, "m")
-    rows = []
-    for source in sources:
-        rows.extend(run_benchmark(BenchSpec(
-            source=source,
-            algorithms=algos,
-            qs=qs,
-            pattern_lengths=ms,
-            patterns_per_length=per_length,
-            repetitions=args.reps,
-            trials=args.trials,
-            seed=args.seed,
-        )))
-    report = emit_report(rows, format=args.format)
-    if args.out == "-":
-        sys.stdout.write(report)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(report)
-        print(f"wrote report to {args.out}", file=sys.stderr)
-    return 0
-
-
 def _search_arguments(p_search: argparse.ArgumentParser) -> None:
     p_search.add_argument("--algo", choices=ALGORITHMS, default="distq")
     p_search.add_argument("--q", type=int, default=3,
@@ -193,64 +109,25 @@ def _search_arguments(p_search: argparse.ArgumentParser) -> None:
     p_search.set_defaults(func=_cmd_search)
 
 
-def _gen_arguments(p_gen: argparse.ArgumentParser) -> None:
-    gen_sub = p_gen.add_subparsers(dest="generator", required=True)
-    p_fib = gen_sub.add_parser("fib", help="Fibonacci string")
-    p_fib.add_argument("--k", type=int, required=True, help="order, 1..40")
-    p_fib.add_argument("--out", required=True)
-    p_fib.set_defaults(func=_cmd_gen_fib)
-    p_occ = gen_sub.add_parser(
-        "occ", help="random text with an exact number of pattern occurrences")
-    p_occ.add_argument("--n", type=int, required=True)
-    p_occ.add_argument("--sigma", type=int, required=True)
-    p_occ.add_argument("--m", type=int, required=True)
-    p_occ.add_argument("--occ", type=int, required=True)
-    p_occ.add_argument("--seed", type=int, default=0)
-    p_occ.add_argument("--out", required=True)
-    p_occ.add_argument("--pattern-out", required=True)
-    p_occ.set_defaults(func=_cmd_gen_occ)
-
-
-def _bench_arguments(p_bench: argparse.ArgumentParser) -> None:
-    grp = p_bench.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--text-file", help="benchmark corpus from a file")
-    grp.add_argument("--fib",
-                     help="comma list of Fibonacci orders K, one corpus each")
-    grp.add_argument("--embed-n", type=int,
-                     help="embedded-occurrence corpus of this length")
-    p_bench.add_argument("--embed-sigma",
-                         help="comma list of alphabet sizes for --embed-n, "
-                              "one corpus each")
-    p_bench.add_argument("--embed-occ", type=int, action="append",
-                         help="occurrence count for --embed-n (repeatable)")
-    p_bench.add_argument("--strip-newlines", action="store_true",
-                         help="drop LF bytes from --text-file")
-    p_bench.add_argument("--algos", default="all",
-                         help="comma list of algorithms, or 'all'")
-    p_bench.add_argument("--q", default="3", help="comma list of q values")
-    p_bench.add_argument("--m", default="8",
-                         help="comma list of pattern lengths")
-    p_bench.add_argument("--patterns-per-length", type=int,
-                         help="patterns sampled per length from --fib or "
-                              "--text-file (default 3)")
-    p_bench.add_argument("--reps", type=int, default=5,
-                         help="searches per timed trial")
-    p_bench.add_argument("--trials", type=int, default=3,
-                         help="trials; wall time is the best of them")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--format", choices=("csv", "markdown"),
-                         default="csv")
-    p_bench.add_argument("--out", default="-",
-                         help="output path, '-' for stdout")
-    p_bench.set_defaults(func=_cmd_bench)
-
-
-# subcommand -> (its help line, the builder of its arguments)
+# subcommand -> its help line
 _SUBCOMMANDS = {
-    "search": ("find a pattern in a text", _search_arguments),
-    "gen": ("generate a corpus file", _gen_arguments),
-    "bench": ("run a benchmark and emit a report", _bench_arguments),
+    "search": "find a pattern in a text",
+    "gen": "generate a corpus file",
+    "bench": "run a benchmark and emit a report",
 }
+
+
+def _add_arguments(name: str, subparser: argparse.ArgumentParser) -> None:
+    """Build subcommand ``name``'s arguments.  Those of gen and bench live
+    with the code they run, in corpus.py and bench.py, so only building them
+    imports that module."""
+    if name == "gen":
+        from .corpus import _gen_arguments as add_arguments
+    elif name == "bench":
+        from .bench import _bench_arguments as add_arguments
+    else:
+        add_arguments = _search_arguments
+    add_arguments(subparser)
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
@@ -261,10 +138,10 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         description="Byte-level exact string matching with q-gram distance "
                     "shift tables.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+    for name, help_line in _SUBCOMMANDS.items():
         subparser = sub.add_parser(name, help=help_line)
         if command in (None, name):
-            add_arguments(subparser)
+            _add_arguments(name, subparser)
     return parser
 
 

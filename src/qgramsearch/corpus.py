@@ -9,6 +9,7 @@ Twister) seeded explicitly, so every corpus is reproducible from its spec.
 from __future__ import annotations
 
 import random
+import sys
 
 from .errors import ConfigurationError, GenerationError, _FrozenRecord, \
     _require_ints
@@ -149,3 +150,46 @@ def sample_patterns(text: bytes, m: int, count: int, seed: int) -> list[bytes]:
     rng = random.Random(seed)
     last = len(t) - m
     return [t[s:s + m] for s in (rng.randint(0, last) for _ in range(count))]
+
+
+# --- ``qgramsearch gen``: cli.build_parser imports its arguments from here
+
+def _cmd_gen_fib(args) -> int:
+    data = fibonacci_string(args.k)
+    with open(args.out, "wb") as fh:
+        fh.write(data)
+    print(f"wrote {len(data)} bytes to {args.out}", file=sys.stderr)
+    return 0
+
+
+def _cmd_gen_occ(args) -> int:
+    corpus = random_text_with_occurrences(
+        CorpusSpec(n=args.n, sigma=args.sigma, m=args.m, occ=args.occ,
+                   seed=args.seed))
+    with open(args.out, "wb") as fh:
+        fh.write(corpus.text)
+    with open(args.pattern_out, "wb") as fh:
+        fh.write(corpus.pattern)
+    print(f"wrote {len(corpus.text)} bytes to {args.out}; pattern "
+          f"({len(corpus.pattern)} bytes, {corpus.occ} occurrences) to "
+          f"{args.pattern_out}", file=sys.stderr)
+    return 0
+
+
+def _gen_arguments(p_gen) -> None:
+    """Add the ``gen`` subcommand's arguments to its parser ``p_gen``."""
+    gen_sub = p_gen.add_subparsers(dest="generator", required=True)
+    p_fib = gen_sub.add_parser("fib", help="Fibonacci string")
+    p_fib.add_argument("--k", type=int, required=True, help="order, 1..40")
+    p_fib.add_argument("--out", required=True)
+    p_fib.set_defaults(func=_cmd_gen_fib)
+    p_occ = gen_sub.add_parser(
+        "occ", help="random text with an exact number of pattern occurrences")
+    p_occ.add_argument("--n", type=int, required=True)
+    p_occ.add_argument("--sigma", type=int, required=True)
+    p_occ.add_argument("--m", type=int, required=True)
+    p_occ.add_argument("--occ", type=int, required=True)
+    p_occ.add_argument("--seed", type=int, default=0)
+    p_occ.add_argument("--out", required=True)
+    p_occ.add_argument("--pattern-out", required=True)
+    p_occ.set_defaults(func=_cmd_gen_occ)

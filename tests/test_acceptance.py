@@ -21,7 +21,7 @@ from qgramsearch import (BenchSpec, CorpusSpec, EmbedSource, alphabet_bytes,
                          kmp_search, kmp_shift_table, ldistq_search,
                          naive_search,
                          random_text_with_occurrences, run_benchmark)
-from qgramsearch.matchers import hash_tables, qgram_hashes
+from qgramsearch.pyengine import hash_tables, qgram_hashes
 from oracles import hash16_oracle
 
 PATTERN = b"abaabbaaa"

@@ -367,3 +367,125 @@ def test_an_unknown_first_word_gets_the_full_parsers_error(capsys):
     full = capsys.readouterr().err
     assert full.endswith("error: unrecognized arguments: --foo\n")
     assert run(capsys, *argv) == (2, "", full)
+
+
+# main's help and usage texts at COLUMNS=80, byte for byte, as the parser
+# printed them when it built every subcommand's arguments in cli.py; the
+# tests above show only that the partial and the full parser agree
+HELP_TEXTS = {
+    "--help": (0, """\
+usage: qgramsearch [-h] {search,gen,bench} ...
+
+Byte-level exact string matching with q-gram distance shift tables.
+
+positional arguments:
+  {search,gen,bench}
+    search            find a pattern in a text
+    gen               generate a corpus file
+    bench             run a benchmark and emit a report
+
+options:
+  -h, --help          show this help message and exit
+""", ""),
+    "search --help": (0, """\
+usage: qgramsearch search [-h] [--algo {naive,kmp,hashq,distq,ldistq}] [--q Q]
+                          (--pattern PATTERN | --pattern-file PATTERN_FILE)
+                          (--text TEXT | --text-file TEXT_FILE)
+                          [--strip-newlines] [--zero-based]
+
+options:
+  -h, --help            show this help message and exit
+  --algo {naive,kmp,hashq,distq,ldistq}
+  --q Q                 q-gram size (clamped to min(q, m, 8))
+  --pattern PATTERN     pattern as a latin-1 literal
+  --pattern-file PATTERN_FILE
+                        file containing the pattern bytes
+  --text TEXT           text as a latin-1 literal
+  --text-file TEXT_FILE
+                        file containing the text bytes
+  --strip-newlines      drop LF bytes when reading files
+  --zero-based          print 0-based positions instead of 1-based
+""", ""),
+    "gen --help": (0, """\
+usage: qgramsearch gen [-h] {fib,occ} ...
+
+positional arguments:
+  {fib,occ}
+    fib       Fibonacci string
+    occ       random text with an exact number of pattern occurrences
+
+options:
+  -h, --help  show this help message and exit
+""", ""),
+    "gen fib --help": (0, """\
+usage: qgramsearch gen fib [-h] --k K --out OUT
+
+options:
+  -h, --help  show this help message and exit
+  --k K       order, 1..40
+  --out OUT
+""", ""),
+    "gen occ --help": (0, """\
+usage: qgramsearch gen occ [-h] --n N --sigma SIGMA --m M --occ OCC
+                           [--seed SEED] --out OUT --pattern-out PATTERN_OUT
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --sigma SIGMA
+  --m M
+  --occ OCC
+  --seed SEED
+  --out OUT
+  --pattern-out PATTERN_OUT
+""", ""),
+    "bench --help": (0, """\
+usage: qgramsearch bench [-h]
+                         (--text-file TEXT_FILE | --fib FIB | --embed-n EMBED_N)
+                         [--embed-sigma EMBED_SIGMA] [--embed-occ EMBED_OCC]
+                         [--strip-newlines] [--algos ALGOS] [--q Q] [--m M]
+                         [--patterns-per-length PATTERNS_PER_LENGTH]
+                         [--reps REPS] [--trials TRIALS] [--seed SEED]
+                         [--format {csv,markdown}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --text-file TEXT_FILE
+                        benchmark corpus from a file
+  --fib FIB             comma list of Fibonacci orders K, one corpus each
+  --embed-n EMBED_N     embedded-occurrence corpus of this length
+  --embed-sigma EMBED_SIGMA
+                        comma list of alphabet sizes for --embed-n, one corpus
+                        each
+  --embed-occ EMBED_OCC
+                        occurrence count for --embed-n (repeatable)
+  --strip-newlines      drop LF bytes from --text-file
+  --algos ALGOS         comma list of algorithms, or 'all'
+  --q Q                 comma list of q values
+  --m M                 comma list of pattern lengths
+  --patterns-per-length PATTERNS_PER_LENGTH
+                        patterns sampled per length from --fib or --text-file
+                        (default 3)
+  --reps REPS           searches per timed trial
+  --trials TRIALS       trials; wall time is the best of them
+  --seed SEED
+  --format {csv,markdown}
+  --out OUT             output path, '-' for stdout
+""", ""),
+    "frob": (2, "", """\
+usage: qgramsearch [-h] {search,gen,bench} ...
+qgramsearch: error: argument command: invalid choice: 'frob' (choose from 'search', 'gen', 'bench')
+"""),
+    "search --text a --pattern a extra": (2, "", """\
+usage: qgramsearch [-h] {search,gen,bench} ...
+qgramsearch: error: unrecognized arguments: extra
+"""),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's wording as Python 3.11 prints it")
+@pytest.mark.parametrize("argv", list(HELP_TEXTS))
+def test_help_and_usage_texts_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv.split()) == HELP_TEXTS[argv]

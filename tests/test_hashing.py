@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qgramsearch import ConfigurationError
-from qgramsearch.matchers import qgram_hashes
+from qgramsearch.pyengine import qgram_hashes
 from oracles import hash16_oracle, hash8_oracle
 
 # entry q of qgram_hashes(w, q, bits) hashes the first window w[:q]

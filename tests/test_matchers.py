@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st, target
 from qgramsearch import ConfigurationError, PatternProfile, SearchStats, \
     build_profile, distq_search, fibonacci_string, hashq_search, \
     kmp_search, kmp_shift_table, ldistq_search, matchers, naive_search
-from qgramsearch.matchers import MATCHERS, hash_tables, qgram_hashes
+from qgramsearch.matchers import MATCHERS
+from qgramsearch.pyengine import hash_tables, qgram_hashes
 from oracles import dist_oracle, hash8_oracle, occurrences_oracle
 
 PATTERN = b"abaabbaaa"

@@ -29,7 +29,8 @@ from hypothesis import given, settings, strategies as st
 import qgramsearch
 from qgramsearch import ConfigurationError, PatternProfile, build_profile, \
     fibonacci_string, matchers, native
-from qgramsearch.matchers import MATCHERS, qgram_hashes
+from qgramsearch.matchers import MATCHERS
+from qgramsearch.pyengine import qgram_hashes
 
 SOURCE = pathlib.Path(native.__file__).with_name("_engine.c")
 PATTERN = b"abaabbaaa"

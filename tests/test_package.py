@@ -146,17 +146,21 @@ def _package_modules(loaded):
     return {name for name in loaded if name.split(".")[0] == "qgramsearch"}
 
 
-# the package modules a search loads, from literals or from files; the
-# compiled engine is one of them where it could be built
+# the package modules a search loads, from literals or from files: the
+# compiled engine where it could be built, else the Python engine
 SEARCH_PATH = {"qgramsearch", "qgramsearch.cli", "qgramsearch.errors",
                "qgramsearch.matchers", "qgramsearch.native"} | (
-    {"qgramsearch._engine"} if qgramsearch.ENGINE == "c" else set())
+    {"qgramsearch._engine"} if qgramsearch.ENGINE == "c"
+    else {"qgramsearch.pyengine"})
+# the package modules of a library call that runs the Python engine
+PYENGINE_PATH = SEARCH_PATH - {"qgramsearch.cli"} | {"qgramsearch.pyengine"}
 
 
 def test_importing_the_cli_loads_only_the_search_path(tmp_path):
     loaded = _modules_after("import qgramsearch.cli")
-    assert loaded & {"qgramsearch.bench", "qgramsearch.corpus", "csv",
-                     "random", "dataclasses", "inspect", "array"} == set()
+    assert loaded & {"qgramsearch.bench", "qgramsearch.corpus",
+                     "qgramsearch.pyengine", "csv", "random", "dataclasses",
+                     "inspect", "array"} == set()
     search = "from qgramsearch import cli\nassert cli.main(['search', {}]) == 0"
     loaded = _modules_after(search.format(
         "'--text', 'abcabc', '--pattern', 'bc'"))
@@ -182,10 +186,13 @@ def test_a_file_search_loads_no_harness(tmp_path):
 
 def test_bench_and_corpus_names_resolve_on_first_use():
     loaded = _modules_after("import qgramsearch")
-    assert loaded & {"qgramsearch.bench", "qgramsearch.corpus"} == set()
+    assert loaded & {"qgramsearch.bench", "qgramsearch.corpus",
+                     "qgramsearch.pyengine"} == set()
     loaded = _modules_after("import qgramsearch; qgramsearch.BenchSpec")
     assert "qgramsearch.bench" in loaded
-    assert loaded & {"dataclasses", "inspect"} == set()
+    assert loaded & {"dataclasses", "inspect", "qgramsearch.pyengine"} == set()
+    loaded = _modules_after("import qgramsearch; qgramsearch.kmp_shift_table")
+    assert _package_modules(loaded) == PYENGINE_PATH
     owners = {name: module for module, tree in _module_trees().items()
               if module != "__init__" for name in _definitions(tree)}
     for name in qgramsearch.__all__:
@@ -197,6 +204,18 @@ def test_bench_and_corpus_names_resolve_on_first_use():
     assert set(qgramsearch.__all__) <= set(namespace)
     with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
         qgramsearch.nothing
+
+
+@pytest.mark.parametrize("search", [
+    "kmp_search(b'abc', b'b', trace=True)",
+    "hashq_search(b'abc', b'b', 1, trace=True)",
+    "distq_search(b'abc', q.build_profile(b'b', 1), trace=True)",
+    "ldistq_search(b'abc', q.build_profile(b'b', 1), trace=True)",
+], ids=lambda search: search.split("_")[0])
+def test_a_traced_search_loads_the_python_engine(search):
+    # the Python loops run every traced search, on either engine
+    loaded = _modules_after(f"import qgramsearch as q\nq.{search}")
+    assert _package_modules(loaded) == PYENGINE_PATH
 
 
 # --- records -----------------------------------------------------------------

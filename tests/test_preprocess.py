@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qgramsearch import ConfigurationError, PatternProfile, build_profile, \
     distq_search, hashq_search, kmp_shift_table
-from qgramsearch.matchers import hash_tables, qgram_hashes
+from qgramsearch.pyengine import hash_tables, qgram_hashes
 from oracles import dist_oracle, hash16_oracle, hash8_oracle, \
     hq_shift_oracle, strong_border_oracle
 
