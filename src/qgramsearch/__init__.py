@@ -5,7 +5,7 @@ rolling-hash variant ``ldistq_search``), three baselines (naive, strong
 border, 8-bit hash shift) and their q check (in
 :mod:`~qgramsearch.matchers`), their Python engine (in
 :mod:`~qgramsearch.pyengine`: the q-gram hashes, ``qgram_hashes`` not
-exported, the Python builders of the shift tables and the Python loops),
+exported, the Python builders of the shift tables and the Python search loop),
 corpus generators and a small benchmark harness.  See the README for the
 CLI.  ``ENGINE`` names the engine that untraced kmp, hashq, distq and
 ldistq searches run on: ``"c"`` (compiled on first import) or ``"python"``.

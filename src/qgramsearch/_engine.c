@@ -6,7 +6,7 @@
  * untraced branch of its Python function returns, the finished
  * SearchOutcome, made without __init__ (result); before bind() it raises.
  * Each search builds the shift tables it reads from the pattern, by the
- * algorithms of kmp_shift_table and hash_tables in matchers.py, so no table
+ * algorithms of kmp_shift_table and hash_tables in pyengine.py, so no table
  * crosses from Python: a search takes the pattern and the text (both read
  * through the buffer protocol), and q and rolling where it needs them.
  * Unsigned 32-bit hashes masked to 16 or 8 bits equal the Python

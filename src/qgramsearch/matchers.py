@@ -35,11 +35,11 @@ are validated.  Each builds the same tables from the pattern on every
 call, returns the finished :class:`SearchOutcome` (see ``bind`` below),
 and reads the caller's text in place (any C-contiguous bytes-like object).
 Every traced search, and every search when no compiled engine could be
-loaded, runs a Python loop instead: hashq's, or ``_distq_core``, which runs
-kmp as distq without its q-gram layer.  Both live in
+loaded, runs the one Python search loop instead: ``_distq_core``, which
+runs kmp and hashq as modes of distq.  It lives in
 :mod:`~qgramsearch.pyengine`, which the searches import only on that
-branch, so an untraced search never compiles them.  The naive oracle, the
-third Python loop, has no compiled twin and is defined here.
+branch, so an untraced search never compiles it.  The naive oracle, the
+other Python loop, has no compiled twin and is defined here.
 
 A shift event is recorded (counted, and traced when asked) only when the
 pattern lands on an alignment that still fits inside the text (the trailing
@@ -177,8 +177,8 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
     check_q(q, len(p))
     if engine is not None and not trace:
         return engine.hashq(p, text, q)
-    from .pyengine import _hashq_core
-    return _hashq_core(text, p, q, trace)
+    from .pyengine import _distq_core
+    return _distq_core(text, p, q, False, trace, 8)
 
 
 def distq_search(text: bytes, profile: PatternProfile,

@@ -1,5 +1,5 @@
 """The Python engine: the q-gram hashes, the Python builders of the shift
-tables, and the Python loops of hashq and of kmp, distq and ldistq.
+tables, and the one Python search loop of kmp, hashq, distq and ldistq.
 
 The searches of :mod:`~qgramsearch.matchers` import this module only on a
 ``trace=True`` call or when no compiled engine could be loaded
@@ -14,8 +14,8 @@ mod 2^8 of hashq.  :func:`qgram_hashes` is the one Python evaluation of
 either polynomial: it hashes the first q-gram of a sequence and rolls the
 hash in constant time as the window slides one byte to the right.  The
 Python table builder runs it (the compiled one hashes each q-gram afresh),
-and the Python loops inline the same arithmetic with the base and mask of
-:func:`fingerprint`.
+and the Python search loop inlines the same arithmetic with the base and
+mask of :func:`fingerprint`.
 
 The shift tables: ``kmp`` and ``dist`` are lists indexed by 1-based
 pattern position, with a padding slot at index 0.  :func:`kmp_shift_table`
@@ -30,10 +30,12 @@ builds ``kmp``, and :func:`hash_tables` is the one builder of ``hq`` and
 * ``dist``: entry j is the smallest k >= 1 such that the q-gram ending at
   j-k hashes like the one ending at j (capped at j-q+1 when none does).
 
-The two loops (hashq's, and ``_distq_core``, which runs kmp as distq
-without its q-gram layer) copy the text to ``bytes`` and read the tables
-built here, so a search takes O(m) memory beyond its occurrences.  They
-are the reference the compiled searches are tested against.
+The search loop, ``_distq_core``, runs kmp as distq without its q-gram
+layer and hashq as distq on 8-bit hashes without its kmp layer, as
+``_engine.c`` shares one alignment step between hashq and distq.  It
+copies the text to ``bytes`` and reads the tables built here, so a search
+takes O(m) memory beyond its occurrences.  It is the reference the
+compiled searches are tested against.
 """
 
 from .errors import ConfigurationError
@@ -128,70 +130,18 @@ def hash_tables(pattern: bytes, q: int,
     return hq, dist
 
 
-def _hashq_core(text: bytes, p: bytes, q: int, trace: bool) -> SearchOutcome:
-    """The Python loop of hashq_search, which calls the compiled engine
-    itself; ``p`` and ``q`` are already checked."""
-    table, dist = hash_tables(p, q, 8)
-    shift = table.get
-    base, mask = fingerprint(8)
-    t = bytes(text)
-    n, m = len(t), len(p)
-    mq1 = m - q + 1  # the shift of a hash no pattern q-gram has
-    # constant advance after a comparison: back to the suffix hash's last
-    # earlier occurrence in the pattern
-    adv = dist[m]
-    log = SearchTrace() if trace else None
-
-    occ: list[int] = []
-    cmps = reads = hq_n = dist_n = 0
-    windows = 1 if n >= m else 0  # the first alignment, if it fits
-    k = m  # window end
-    while k <= n:
-        # the 8-bit hash of the window's suffix q-gram (qgram_hashes), inlined
-        h = 0
-        for c in t[k - q:k]:
-            h = h * base + c
-        h &= mask
-        reads += q
-        if trace:
-            log.hash_ends.append(k)
-        sh = shift(h, mq1)
-        k += sh
-        if k > n:
-            break
-        hq_n += 1
-        if trace:
-            log.shifts.append((SHIFT_HQ, sh))
-        if sh:
-            windows += 1
-            continue
-        start = k - m  # 0-based window start
-        j = 0
-        while j < m and p[j] == t[start + j]:
-            cmps += 1
-            j += 1
-        if j < m:
-            cmps += 1  # the failing test
-        else:
-            occ.append(start + 1)
-        k += adv
-        if k <= n:
-            dist_n += 1
-            windows += 1  # adv >= 1
-            if trace:
-                log.shifts.append((SHIFT_DIST, adv))
-    return SearchOutcome(occ, SearchStats(
-        char_comparisons=cmps, hashed_char_reads=reads, hq_shifts=hq_n,
-        dist_shifts=dist_n, windows=windows), log)
-
-
 def _distq_core(text: bytes, p: bytes, q: int | None, rolling: bool,
-                trace: bool) -> SearchOutcome:
-    """The one Python loop of kmp_search, distq_search and ldistq_search,
-    each of which calls the compiled engine itself.
+                trace: bool, bits: int = 16) -> SearchOutcome:
+    """The one Python loop of kmp_search, hashq_search, distq_search and
+    ldistq_search, each of which calls the compiled engine itself.
 
     kmp is distq without its q-gram layer: with ``q`` None nothing is
-    hashed, no alignment phase runs and every shift is a kmp shift.
+    hashed, no alignment phase runs and every shift is a kmp shift.  hashq
+    (``bits`` 8) is distq on 8-bit hashes without its kmp layer: the
+    alignment phase runs before every window and ends only at a zero shift,
+    the window is compared from its first byte, and the constant advance
+    dist[m] follows; hashq logs no q-gram positions and counts each
+    window's first byte test in char_comparisons.
     ``rolling`` selects how the alignment-phase window hash is obtained;
     every shift decision is identical in both modes, so distq and ldistq
     produce the same occurrences and the same trace by construction.
@@ -199,13 +149,19 @@ def _distq_core(text: bytes, p: bytes, q: int | None, rolling: bool,
     t = bytes(text)
     n, m = len(t), len(p)
     log = SearchTrace() if trace else None
-    ks = kmp_shift_table(p)
+    ks = kmp_shift_table(p) if bits == 16 else None
+    # an alignment phase runs while j <= top: never (kmp), when no partial
+    # match is held (distq), or before every window (hashq)
+    top = 0 if q is None else 1 if ks else m
     if q is not None:
-        hq_tab, dist_tab = hash_tables(p, q)
+        hq_tab, dist_tab = hash_tables(p, q, bits)
         shift = hq_tab.get
-        base, mask = fingerprint(16)
+        base, mask = fingerprint(bits)
         weight = pow(base, q - 1, mask + 1)  # of a window's leading byte
         mq1 = m - q + 1  # the shift of a hash no pattern q-gram has
+        # the phase ends at a shift below lo: one that aligns some pattern
+        # q-gram (distq), or only a zero shift (hashq)
+        lo = mq1 if ks else 1
 
     occ: list[int] = []
     cmps = fchecks = reads = hq_n = dist_n = kmp_n = 0
@@ -219,12 +175,12 @@ def _distq_core(text: bytes, p: bytes, q: int | None, rolling: bool,
     last_h = 0
 
     while k <= n:
-        hashed = q is not None and j <= 1
+        hashed = j <= top
         if hashed:
-            # --- alignment phase: hash until a shift aligns a q-gram of p ---
+            # --- alignment phase: hash until a shift below lo ---
             while True:
                 e = k
-                # the 16-bit qgram_hashes polynomial, afresh or rolled, inlined
+                # the qgram_hashes polynomial, afresh or rolled, inlined
                 if rolling and 0 <= e - last_end < q:
                     d = e - last_end
                     h = last_h
@@ -252,12 +208,12 @@ def _distq_core(text: bytes, p: bytes, q: int | None, rolling: bool,
                     windows += 1
                 if trace:
                     log.shifts.append((SHIFT_HQ, sh))
-                if sh != mq1:
-                    break  # some pattern q-gram hashes like this one
+                if sh < lo:
+                    break
             if k > n:
                 break  # window left the text
-            pos = m - sh
-            if trace:
+            pos = m - sh  # m for hashq, whose phase ends at a zero shift
+            if trace and ks:
                 log.positions.append(pos)
             fchecks += 1  # the extend loop's first test (see SearchStats)
             j = 1
@@ -274,13 +230,12 @@ def _distq_core(text: bytes, p: bytes, q: int | None, rolling: bool,
             cmps += 1  # the failing test
         else:
             occ.append(i - m)
-        amt = ks[j]
         by_dist = False
         if hashed:
             d = dist_tab[pos]
-            if d >= j - 1 and d >= amt:
-                amt = d
-                by_dist = True
+            # hashq always advances by it: dist[m], as its pos is m
+            by_dist = ks is None or d >= j - 1 and d >= ks[j]
+        amt = d if by_dist else ks[j]
         j -= amt
         if j == 0:  # resume at the next text byte against the pattern head,
             i += 1  # under the same window end; distq then hashes anew
@@ -293,6 +248,8 @@ def _distq_core(text: bytes, p: bytes, q: int | None, rolling: bool,
                 kmp_n += 1
             if trace:
                 log.shifts.append((SHIFT_DIST if by_dist else SHIFT_KMP, amt))
+    if ks is None:  # hashq counts the first byte test as a comparison
+        fchecks = 0
     # dist and kmp shifts are >= 1: each recorded one opens a window
     return SearchOutcome(occ, SearchStats(
         char_comparisons=cmps - fchecks, first_char_checks=fchecks,

@@ -3,7 +3,10 @@
 Everything here evaluates the defining formulas directly (big-int powers,
 explicit quantifier scans) with no shared code or shortcuts from the
 package, so a bug in the implementation cannot hide in its own oracle.
+:func:`peak_bytes` measures memory the same way, with tracemalloc alone.
 """
+
+import tracemalloc
 
 HASH16_SPACE = 1 << 16
 
@@ -73,3 +76,13 @@ def occurrences_oracle(text: bytes, pattern: bytes) -> list[int]:
         if all(text[i + t] == pattern[t] for t in range(m)):
             out.append(i + 1)
     return out
+
+
+def peak_bytes(build, *args) -> int:
+    """Peak bytes that tracemalloc saw allocated while ``build(*args)`` ran."""
+    tracemalloc.start()
+    try:
+        build(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -20,7 +20,7 @@ PACKAGE = pathlib.Path(qgramsearch.__file__).parent
 TESTS = pathlib.Path(__file__).parent
 # the modules whose tests do not need the compiled engine; test_acceptance
 # is left out for its run time (about 20 s)
-MODULES = ("test_matchers", "test_preprocess", "test_hashing", "test_cli",
+MODULES = ("test_matchers", "test_pyengine", "test_hashing", "test_cli",
            "test_bench", "test_corpus")
 
 

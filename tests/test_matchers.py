@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st, target
 
 from qgramsearch import ConfigurationError, PatternProfile, SearchStats, \
-    build_profile, distq_search, fibonacci_string, hashq_search, \
-    kmp_search, kmp_shift_table, ldistq_search, matchers, naive_search
+    SearchTrace, build_profile, distq_search, fibonacci_string, \
+    hashq_search, kmp_search, kmp_shift_table, ldistq_search, matchers, \
+    naive_search
 from qgramsearch.matchers import MATCHERS
 from qgramsearch.pyengine import hash_tables, qgram_hashes
-from oracles import dist_oracle, hash8_oracle, occurrences_oracle
+from oracles import dist_oracle, hash8_oracle, occurrences_oracle, \
+    peak_bytes
 
 PATTERN = b"abaabbaaa"
 TEXT = b"abbaabbaababbabbaaabaabaabbaaa"
@@ -120,7 +122,7 @@ def test_worst_cases_come_within_10_percent_of_2n(monkeypatch, algo, text,
                                                   pattern, q, occurrences,
                                                   stats):
     run = MATCHERS[algo][0]
-    compiled = run(text, pattern, q)  # the Python loops where none loaded
+    compiled = run(text, pattern, q)  # the Python loop where none loaded
     monkeypatch.setattr(matchers, "engine", None)
     for out in (compiled, run(text, pattern, q)):
         assert (out.occurrences, out.stats) == (occurrences, stats)
@@ -199,9 +201,10 @@ def test_hashq_disjoint_alphabet_shifts_by_default():
 
 def test_hashq_golden_trace_and_counters():
     out = hashq_search(TEXT, PATTERN, 3, trace=True)
-    assert out.trace.shifts == [("hq", 1), ("hq", 4), ("hq", 2), ("hq", 3),
-                                ("hq", 0), ("dist", 7), ("hq", 4), ("hq", 0)]
-    assert out.trace.hash_ends == [9, 10, 14, 16, 19, 26, 30]
+    assert out.trace == SearchTrace(
+        shifts=[("hq", 1), ("hq", 4), ("hq", 2), ("hq", 3), ("hq", 0),
+                ("dist", 7), ("hq", 4), ("hq", 0)],
+        positions=[], hash_ends=[9, 10, 14, 16, 19, 26, 30])
     assert out.stats == SearchStats(char_comparisons=12, hashed_char_reads=21,
                                     hq_shifts=7, dist_shifts=1, windows=7)
 
@@ -219,6 +222,42 @@ def test_hashq_rejects_bad_q():
         hashq_search(b"abc", b"ab", 3)  # q > m
     with pytest.raises(ConfigurationError):
         hashq_search(b"abc", b"abc", 0)
+
+
+# --- profile ---
+
+def test_profile_is_its_validated_pattern_and_q():
+    prof = build_profile(PATTERN, 3)
+    assert vars(prof) == {"pattern": PATTERN, "q": 3}  # and no table
+    again = PatternProfile(bytearray(PATTERN), 3)
+    assert type(again.pattern) is bytes
+    assert again == prof and hash(again) == hash(prof)
+    assert {prof: 1}[again] == 1
+
+
+@pytest.mark.parametrize("m", [1, 16, 200])
+def test_compiled_profile_allocates_no_hash_table(m):
+    # a profile is the pattern and q: the compiled searches build their
+    # own tables, so building one takes O(m) memory on either engine
+    pat = bytes(random.Random(m).choices(range(256), k=m))
+    assert peak_bytes(build_profile, pat, min(3, m)) < 16 * 1024
+
+
+@pytest.mark.parametrize("pat,q", [(b"abc", 4), (b"abc", 0), (b"abc", 9),
+                                   (b"", 1), (b"x" * 20, 9), (b"ab", 9),
+                                   (b"ab", "x"), (b"ab", None),
+                                   (b"abab", 1.5)])
+def test_profile_rejects_bad_q(pat, q):
+    # a profile validates itself, so a hand-built one cannot reach a search;
+    # a q that is not an int is named in the message
+    for make in (build_profile, PatternProfile,
+                 lambda pat, q: distq_search(b"abcabc",
+                                             PatternProfile(pat, q)),
+                 lambda pat, q: hashq_search(b"abcabc", pat, q)):
+        with pytest.raises(ConfigurationError) as err:
+            make(pat, q)
+        if not isinstance(q, int):
+            assert str(err.value) == f"q must be an int, got {q!r}"
 
 
 # --- distq / ldistq ---

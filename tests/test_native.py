@@ -245,7 +245,7 @@ def _builder_text(p, q):
 
 def test_builders_agree_without_the_engine():
     # the compiled searches, each building its tables from the pattern,
-    # find and count what the Python loops do with the Python builders'
+    # find and count what the Python loop does with the Python builders'
     # tables; tests/test_sanitizers.py runs this under the sanitizers
     for p, q in _builder_cases():
         text = _builder_text(p, q)

@@ -213,7 +213,7 @@ def test_bench_and_corpus_names_resolve_on_first_use():
     "ldistq_search(b'abc', q.build_profile(b'b', 1), trace=True)",
 ], ids=lambda search: search.split("_")[0])
 def test_a_traced_search_loads_the_python_engine(search):
-    # the Python loops run every traced search, on either engine
+    # the Python search loop runs every traced search, on either engine
     loaded = _modules_after(f"import qgramsearch as q\nq.{search}")
     assert _package_modules(loaded) == PYENGINE_PATH
 

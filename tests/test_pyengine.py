@@ -1,14 +1,13 @@
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qgramsearch import ConfigurationError, PatternProfile, build_profile, \
-    distq_search, hashq_search, kmp_shift_table
+    kmp_shift_table
 from qgramsearch.pyengine import hash_tables, qgram_hashes
 from oracles import dist_oracle, hash16_oracle, hash8_oracle, \
-    hq_shift_oracle, strong_border_oracle
+    hq_shift_oracle, peak_bytes, strong_border_oracle
 
 EXAMPLE = b"abaabbaaa"
 
@@ -149,16 +148,7 @@ def test_dist_table_matches_direct_formula(data):
         assert 1 <= dist[j] <= max(1, j - q + 1)
 
 
-# --- profile ---
-
-def test_profile_is_its_validated_pattern_and_q():
-    prof = build_profile(EXAMPLE, 3)
-    assert vars(prof) == {"pattern": EXAMPLE, "q": 3}  # and no table
-    again = PatternProfile(bytearray(EXAMPLE), 3)
-    assert type(again.pattern) is bytes
-    assert again == prof and hash(again) == hash(prof)
-    assert {prof: 1}[again] == 1
-
+# --- both tables together ---
 
 @st.composite
 def pattern_and_q(draw):
@@ -198,15 +188,6 @@ def test_hash_tables_match_oracles(case, hashes):
     assert got == (hq, dist, hq8, dist8), (pat, q)
 
 
-def _peak(build, *args):
-    tracemalloc.start()
-    try:
-        build(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("m", [1, 16, 200])
 def test_hash_tables_allocate_one_map(m):
     # the Python scan's one hash table is the hq map of at most m - q + 1
@@ -215,16 +196,8 @@ def test_hash_tables_allocate_one_map(m):
     # alone took 256 KB)
     pat = bytes(random.Random(m).choices(range(256), k=m))
     for bits in (16, 8):
-        assert _peak(hash_tables, pat, min(3, m), bits) < \
+        assert peak_bytes(hash_tables, pat, min(3, m), bits) < \
             1024 * max(16, m // 2), bits
-
-
-@pytest.mark.parametrize("m", [1, 16, 200])
-def test_compiled_profile_allocates_no_hash_table(m):
-    # a profile is the pattern and q: the compiled searches build their
-    # own tables, so building one takes O(m) memory on either engine
-    pat = bytes(random.Random(m).choices(range(256), k=m))
-    assert _peak(build_profile, pat, min(3, m)) < 16 * 1024
 
 
 def test_hq_map_holds_one_entry_per_pattern_hash():
@@ -240,23 +213,6 @@ def test_hq_map_holds_one_entry_per_pattern_hash():
         assert set(table) == set(qgram_hashes(pat, q)[q:]), (pat[:20], q)
         # a real shift m - j is below the default m - q + 1
         assert all(0 <= s <= m - q for s in table.values()), (pat[:20], q)
-
-
-@pytest.mark.parametrize("pat,q", [(b"abc", 4), (b"abc", 0), (b"abc", 9),
-                                   (b"", 1), (b"x" * 20, 9), (b"ab", 9),
-                                   (b"ab", "x"), (b"ab", None),
-                                   (b"abab", 1.5)])
-def test_profile_rejects_bad_q(pat, q):
-    # a profile validates itself, so a hand-built one cannot reach a search;
-    # a q that is not an int is named in the message
-    for make in (build_profile, PatternProfile,
-                 lambda pat, q: distq_search(b"abcabc",
-                                             PatternProfile(pat, q)),
-                 lambda pat, q: hashq_search(b"abcabc", pat, q)):
-        with pytest.raises(ConfigurationError) as err:
-            make(pat, q)
-        if not isinstance(q, int):
-            assert str(err.value) == f"q must be an int, got {q!r}"
 
 
 def test_bits_other_than_8_or_16_rejected():
