@@ -41,23 +41,23 @@ typedef long long i64;
  * a search touches O(m). */
 static uint32_t HQ[65536];
 
-/* Where the hot loops sit.  kmp starts on a 64-byte boundary with every
- * label on a 16-byte one (PLACED); in hashq and distq each loop and each
- * label reached only by a jump starts on a 64-byte boundary (LOOPS_PLACED),
- * so the set-up before a loop does not move it.  They are that sensitive
- * to placement: distq ran 12-25 % slower on Fibonacci text with its
- * comparison loop across a 64-byte line than inside one, kmp 29 % slower
- * 32 bytes away (and about 10 % slower under LOOPS_PLACED than PLACED), and
- * hashq 3 % slower 16 bytes away.  kmp's set-up still moves its loop: it
- * reads the text before or after kmp_fill, whichever keeps the loop where
- * it was.  kmp is also `hot`, which puts it first in the text (.text.hot),
- * so edits to the other functions do not move it: with the same offsets
- * mod 64, its loop ran up to 10 % slower on short sigma = 95 records at
- * some addresses than at others.  Its skip to P[0] keeps par on Fibonacci
- * text only with its own exit for a missing byte: kmp read 0.98 of the
- * parent with one exit for both, 0.89 going on into the match path, 0.75
- * testing T[i - 1] after i++, 0.70 in a noinline helper.  After an edit,
- * compare `objdump -d` and a paired timing of each loop with the parent. */
+/* Where the hot loops sit.  kmp starts on a 64-byte boundary with every label
+ * on a 16-byte one (PLACED); in hashq and distq each tight loop, and each
+ * other loop or jump-only label that gcc finds worth the padding, starts on a
+ * 64-byte boundary (LOOPS_PLACED), so set-up does not move it.  Placement
+ * matters: distq ran 12-25 % slower on Fibonacci text with its comparison loop
+ * across a 64-byte line than inside one, kmp 29 % slower 32 bytes away (and
+ * about 10 % slower under LOOPS_PLACED than PLACED), and hashq 3 % slower 16
+ * bytes away.  kmp's set-up still moves its loop: it reads the text before or
+ * after kmp_fill, whichever keeps the loop where it was.  kmp is also `hot`,
+ * which puts it first in the text (.text.hot), so edits to the other functions
+ * do not move it: with the same offsets mod 64, its loop ran up to 10 % slower
+ * on short sigma = 95 records at some addresses than at others.  Its skip to
+ * P[0] keeps par on Fibonacci text only with its own exit for a missing byte:
+ * kmp read 0.98 of the parent with one exit for both, 0.89 going on into the
+ * match path, 0.75 testing T[i - 1] after i++, 0.70 in a noinline helper.
+ * tests/test_machine_code.py checks these placements: an edit that moves one
+ * updates its pin there, with a paired timing of each loop. */
 #define PLACED \
     __attribute__((hot, aligned(64), optimize("align-labels=16")))
 #define LOOPS_PLACED \
@@ -438,7 +438,7 @@ LOOPS_PLACED static PyObject *distq(PyObject *self, PyObject *const *args,
     int ok = (ks = a.tab = kmp_fill(P, m, m + 1)) != NULL;
     /* hide from gcc that ok is ks != NULL: knowing it, gcc gave align's
      * pair step 7 more instructions and 3 more stack accesses, and distq
-     * ran 2-5 % slower on random text */
+     * ran 2-5 % slower on random text (tests/test_machine_code.py) */
     __asm__("" : "+r"(ok));
     int marked = ok;  /* HQ holds this pattern's entries until cleaned */
     if (marked)

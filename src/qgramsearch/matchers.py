@@ -29,14 +29,16 @@ each at the point where the counted event happens.  A :class:`SearchTrace`
 is built only when the matcher is called with ``trace=True``; otherwise
 ``outcome.trace`` is ``None`` and the search holds no per-event memory.
 
-Untraced kmp, hashq, distq and ldistq searches run the compiled searches
-of ``_engine.c`` (see :mod:`qgramsearch.native`) once the pattern and q
-are validated.  Each builds the same tables from the pattern on every
-call, returns the finished :class:`SearchOutcome` (see ``bind`` below),
-and reads the caller's text in place (any C-contiguous bytes-like object).
-Every traced search, and every search when no compiled engine could be
-loaded, runs the one Python search loop instead: ``_distq_core``, which
-runs kmp and hashq as modes of distq.  It lives in
+A pattern is used as it is when it is ``bytes``; any other form that
+``bytes()`` takes (bytearray, memoryview, a list of ints, a bytes subclass)
+is converted first.  Untraced kmp, hashq, distq and ldistq searches run the
+compiled searches of ``_engine.c`` (see :mod:`qgramsearch.native`) once the
+pattern and q are validated.  Each builds the same tables from the pattern
+on every call, returns the finished :class:`SearchOutcome` (see ``bind``
+below), and reads the caller's text in place (any C-contiguous bytes-like
+object).  Every traced search, and every search when no compiled engine
+could be loaded, runs the one Python search loop instead: ``_distq_core``,
+which runs kmp and hashq as modes of distq.  It lives in
 :mod:`~qgramsearch.pyengine`, which the searches import only on that
 branch, so an untraced search never compiles it.  The naive oracle, the
 other Python loop, has no compiled twin and is defined here.
@@ -58,7 +60,8 @@ MAX_Q = 8
 def check_q(q: int, m: int) -> None:
     """Raise :class:`ConfigurationError` unless the pattern length ``m`` is
     positive, q is an int and 1 <= q <= min(m, MAX_Q), checked in that
-    order."""
+    order.  The matchers accept a plain int q in range with one inline
+    test and call this for any other q, so it alone words the errors."""
     if m == 0:
         raise ConfigurationError("pattern must be non-empty")
     if not isinstance(q, int):
@@ -80,8 +83,10 @@ class PatternProfile(_FrozenRecord):
     A profile holds no table: the searches build theirs from the pattern."""
 
     def __init__(self, pattern: bytes, q: int):
-        pattern = bytes(pattern)
-        check_q(q, len(pattern))
+        if type(pattern) is not bytes:
+            pattern = bytes(pattern)
+        if not (type(q) is int and 0 < q <= MAX_Q and q <= len(pattern)):
+            check_q(q, len(pattern))
         fields = self.__dict__  # item writes: cheaper than update(**kwargs)
         fields["pattern"] = pattern
         fields["q"] = q
@@ -155,7 +160,7 @@ def naive_search(text: bytes, pattern: bytes) -> list[int]:
 def kmp_search(text: bytes, pattern: bytes,
                trace: bool = False) -> SearchOutcome:
     """Strong-border matcher; at most 2n character comparisons."""
-    p = bytes(pattern)
+    p = pattern if type(pattern) is bytes else bytes(pattern)
     if not p:
         raise ConfigurationError("pattern must be non-empty")
     if engine is not None and not trace:
@@ -173,8 +178,9 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
     right and advanced by a constant precomputed from the first repeat of
     the suffix hash inside the pattern.
     """
-    p = bytes(pattern)
-    check_q(q, len(p))
+    p = pattern if type(pattern) is bytes else bytes(pattern)
+    if not (type(q) is int and 0 < q <= MAX_Q and q <= len(p)):
+        check_q(q, len(p))
     if engine is not None and not trace:
         return engine.hashq(p, text, q)
     from .pyengine import _distq_core

@@ -8,7 +8,7 @@ from qgramsearch import ConfigurationError, PatternProfile, SearchStats, \
     SearchTrace, build_profile, distq_search, fibonacci_string, \
     hashq_search, kmp_search, kmp_shift_table, ldistq_search, matchers, \
     naive_search
-from qgramsearch.matchers import MATCHERS
+from qgramsearch.matchers import MATCHERS, check_q
 from qgramsearch.pyengine import hash_tables, qgram_hashes
 from oracles import dist_oracle, hash8_oracle, occurrences_oracle, \
     peak_bytes
@@ -246,18 +246,95 @@ def test_compiled_profile_allocates_no_hash_table(m):
 @pytest.mark.parametrize("pat,q", [(b"abc", 4), (b"abc", 0), (b"abc", 9),
                                    (b"", 1), (b"x" * 20, 9), (b"ab", 9),
                                    (b"ab", "x"), (b"ab", None),
-                                   (b"abab", 1.5)])
-def test_profile_rejects_bad_q(pat, q):
+                                   (b"abab", 1.5), (b"abc", False),
+                                   (b"abc", -1), (b"abc", 2 ** 70),
+                                   (b"", None)])
+def test_profile_rejects_bad_q(monkeypatch, pat, q):
     # a profile validates itself, so a hand-built one cannot reach a search;
     # a q that is not an int is named in the message
-    for make in (build_profile, PatternProfile,
-                 lambda pat, q: distq_search(b"abcabc",
-                                             PatternProfile(pat, q)),
-                 lambda pat, q: hashq_search(b"abcabc", pat, q)):
+    makes = [build_profile, PatternProfile,
+             lambda pat, q: distq_search(b"abcabc", PatternProfile(pat, q)),
+             lambda pat, q: ldistq_search(b"abcabc", PatternProfile(pat, q))]
+    makes += [lambda pat, q, run=run: run(b"abcabc", pat, q)  # hashq's too
+              for run, takes_q in MATCHERS.values() if takes_q]
+    if not pat:
+        makes += [lambda pat, q: kmp_search(b"abcabc", pat),
+                  lambda pat, q: MATCHERS["kmp"][0](b"abcabc", pat, q)]
+    with pytest.raises(ConfigurationError) as want:
+        check_q(q, len(pat))
+    if pat and not isinstance(q, int):
+        assert str(want.value) == f"q must be an int, got {q!r}"
+    # check_q words every rejection, on both engines and any pattern form
+    for engine in (matchers.engine, None):
+        monkeypatch.setattr(matchers, "engine", engine)
+        for form in (pat, list(pat)):
+            for make in makes:
+                with pytest.raises(ConfigurationError) as err:
+                    make(form, q)
+                assert str(err.value) == str(want.value), (engine, form)
+
+
+def test_check_q_words_each_rejection_in_order():
+    # the matchers test an accepted q inline and leave every other q here
+    for m, q, message in ((0, "x", "pattern must be non-empty"),
+                          (2, "x", "q must be an int, got 'x'"),
+                          (2, 9, "q must be in [1, 8], got 9"),
+                          (2, False, "q must be in [1, 8], got False"),
+                          (2, 3, "q = 3 exceeds pattern length m = 2")):
         with pytest.raises(ConfigurationError) as err:
-            make(pat, q)
-        if not isinstance(q, int):
-            assert str(err.value) == f"q must be an int, got {q!r}"
+            check_q(q, m)
+        assert str(err.value) == message
+
+
+@pytest.fixture(params=["c", "python"])
+def either_engine(request, monkeypatch):
+    # "python" runs the untraced searches on the Python loop as well
+    if request.param == "python":
+        monkeypatch.setattr(matchers, "engine", None)
+
+
+class _Bytes(bytes):
+    pass
+
+
+WRAPPED = {
+    "kmp": lambda p, q, trace: kmp_search(TEXT, p, trace),
+    "hashq": lambda p, q, trace: hashq_search(TEXT, p, q, trace),
+    "distq": lambda p, q, trace: distq_search(TEXT, build_profile(p, q),
+                                              trace),
+    "ldistq": lambda p, q, trace: ldistq_search(TEXT, PatternProfile(p, q),
+                                                trace),
+}
+
+
+@pytest.mark.parametrize("algo", WRAPPED)
+def test_any_pattern_form_searches_as_its_bytes(either_engine, algo):
+    # a bytes pattern is used as it is, every other form is converted
+    search = WRAPPED[algo]
+    for trace in (False, True):
+        want = search(PATTERN, 3, trace)
+        assert want.occurrences == [22]
+        for form in (bytearray(PATTERN), memoryview(PATTERN), list(PATTERN),
+                     _Bytes(PATTERN)):
+            assert search(form, 3, trace) == want, (form, trace)
+
+
+def test_profile_pattern_is_exact_bytes():
+    for form in (PATTERN, bytearray(PATTERN), memoryview(PATTERN),
+                 list(PATTERN), _Bytes(PATTERN)):
+        for prof in (build_profile(form, 3), PatternProfile(form, 3)):
+            assert type(prof.pattern) is bytes and prof.pattern == PATTERN
+    assert build_profile(PATTERN, 3).pattern is PATTERN
+
+
+@pytest.mark.parametrize("algo", ["hashq", "distq", "ldistq"])
+def test_bool_q_is_accepted_as_1(either_engine, algo):
+    search = WRAPPED[algo]
+    for trace in (False, True):
+        assert search(PATTERN, True, trace) == search(PATTERN, 1, trace)
+    assert MATCHERS[algo][0](TEXT, PATTERN, True) == \
+        MATCHERS[algo][0](TEXT, PATTERN, 1)
+    assert build_profile(PATTERN, True) == build_profile(PATTERN, 1)
 
 
 # --- distq / ldistq ---
