@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import sys
+from math import floor
 
 from .errors import ConfigurationError, GenerationError, _FrozenRecord, \
     _require_ints
@@ -18,6 +19,7 @@ MAX_FIB_ORDER = 40
 MAX_SIGMA = 95
 SCRUB_BUDGET_FACTOR = 100
 PLACEMENT_ATTEMPTS = 100
+DRAW_CHUNK = 1 << 12  # draws per getrandbits call in _draw
 
 
 def alphabet_bytes(sigma: int) -> bytes:
@@ -78,6 +80,47 @@ def _count_occurrences(text, pattern) -> int:
     return count
 
 
+def _draw(rng: random.Random, alphabet: bytes, k: int) -> bytes:
+    """``bytes(rng.choices(alphabet, k=k))``, and ``rng`` left as it leaves it.
+
+    ``random()`` is (a*2**26 + b) / 2**53, where a = w0 >> 5 and b = w1 >> 6
+    come from two consecutive Mersenne Twister words, and ``choices`` picks
+    ``alphabet[floor(random() * sigma)]``.  ``getrandbits(64*c)`` returns the
+    next 2c words with word i at bit 32*i, so 64-bit lane i of that int holds
+    draw i.  With each lane masked to a*32 and the whole int multiplied by
+    sigma (a*32*sigma < 2**39, so no lane carries into the next), byte 4 of
+    lane i is floor(a*sigma / 2**27).  That is the index ``choices`` takes
+    unless b or the float product carries it to the next one, which needs
+    the lane's bits 16..31 all set (about 2**-16 of draws); those draws are
+    recomputed with ``random()``'s own expression.
+    """
+    sigma = len(alphabet)
+    table = alphabet.ljust(256, b"\0")
+    parts = []
+    # bits 5..31 of each lane; a shorter last chunk uses its low lanes
+    mask = int.from_bytes(b"\xe0\xff\xff\xff\0\0\0\0" * min(k, DRAW_CHUNK),
+                          "little")
+    for start in range(0, k, DRAW_CHUNK):
+        c = min(DRAW_CHUNK, k - start)
+        words = rng.getrandbits(64 * c)
+        lanes = ((words & mask) * sigma).to_bytes(8 * c, "little")
+        index = lanes[4::8]
+        pos = lanes.find(b"\xff\xff")
+        if pos != -1:
+            index = bytearray(index)
+            while pos != -1:
+                if pos % 8 == 2:
+                    lane = words >> (64 * (pos // 8))
+                    a = (lane & 0xFFFFFFFF) >> 5
+                    b = (lane >> 32 & 0xFFFFFFFF) >> 6
+                    index[pos // 8] = floor(
+                        (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+                        * sigma)
+                pos = lanes.find(b"\xff\xff", pos + 1)
+        parts.append(index.translate(table))
+    return b"".join(parts)
+
+
 def _scrub(text: bytearray, pattern: bytes, alphabet: bytes,
            rng: random.Random, budget: int) -> None:
     """Re-randomize bytes inside the leftmost occurrence until none remain."""
@@ -123,8 +166,8 @@ def random_text_with_occurrences(spec: CorpusSpec) -> GeneratedCorpus:
     """
     rng = random.Random(spec.seed)
     alphabet = alphabet_bytes(spec.sigma)
-    pattern = bytes(rng.choices(alphabet, k=spec.m))
-    text = bytearray(rng.choices(alphabet, k=spec.n))
+    pattern = _draw(rng, alphabet, spec.m)
+    text = bytearray(_draw(rng, alphabet, spec.n))
     _scrub(text, pattern, alphabet, rng, SCRUB_BUDGET_FACTOR * spec.n)
     base = bytes(text)
     if spec.occ == 0:
@@ -140,7 +183,7 @@ def random_text_with_occurrences(spec: CorpusSpec) -> GeneratedCorpus:
 
 def sample_patterns(text: bytes, m: int, count: int, seed: int) -> list[bytes]:
     """``count`` length-m windows of ``text`` at uniform random starts."""
-    t = bytes(text)
+    t = text if type(text) is bytes else bytes(text)
     _require_ints("m", m)
     if not 1 <= m <= len(t):
         raise ConfigurationError(

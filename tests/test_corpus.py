@@ -1,4 +1,7 @@
+import hashlib
 import os
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -6,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from qgramsearch import ConfigurationError, CorpusSpec, GenerationError, \
     alphabet_bytes, fibonacci_string, load_text, naive_search, \
     random_text_with_occurrences, sample_patterns
+from qgramsearch.corpus import DRAW_CHUNK, _draw
 
 
 # --- fibonacci ---
@@ -114,6 +118,117 @@ def test_occ_zero_with_pattern_longer_than_text():
     assert naive_search(corpus.text, corpus.pattern) == []
 
 
+
+# sha256 of text and pattern, taken when both were still drawn by rng.choices
+GOLDEN = [
+    ((1000, 2, 6, 0, 1),
+     "855199aa9340bfedc9ffbda3961c1bc4bd97fc6020ebb70d9f645aa9ba7add98",
+     "f434883d29e0e2b2e689d7f1b2ea106982dd1cfb611e56ec10037220b0636705"),
+    ((1000, 2, 8, 5, 2),
+     "fdfe0e6596763f2b8bd15a5d64ce3a0237a7f43e01f94842dd77fa21ab55764a",
+     "02f8f674f5ff4d30f9efeea2348370f36d4d4397f6d4ff0e24d32cf24c8646ac"),
+    ((5000, 4, 8, 0, 3),
+     "052a3c18c724a9b9db8b33ba6a1bc49707b6cb82e881140ffb388b4116feace8",
+     "63afee578de352cadd29a4cfd276ab43746d0534348c611a6806dea9d226790f"),
+    ((70_001, 4, 8, 64, 4),
+     "1b1c233dd56c8d905609364e5f1f1267e2b062aab955db53c0086c5192b75003",
+     "2b5ed355b0eeba6e3386e258d028d89138c78eb61b02e714a97109c113b80f4b"),
+    ((3000, 26, 5, 7, 5),
+     "388402f1c74b05b62ff013c1297b25f690bac1145dc15f6d7b10f141c6196d66",
+     "7c596913cfcf5c2886561fe7e36447bfa93b979fae85cf9b2f9b13f1b0fd43f4"),
+    ((3000, 27, 4, 0, 6),
+     "e63768c8f8f9011cdec5614ed955c3975f7865b0a8ffa54fb1a7f4d4bee0e669",
+     "f688907e6cea937edf5991716496ebb7aec72a16b70e7524e969ea3ebb75617a"),
+    ((70_001, 95, 16, 0, 7),
+     "0ac3072f7068c136c96708225d2bd7d7c057788eab79e2d9c3adef7a4027ec69",
+     "54546cee9b0f1bc18705dc56c85b622a9b27c8fbbf92804407f30272127a27f7"),
+    ((4000, 95, 16, 9, 8),
+     "7938ced16d7b0fda3793135c2cb6c9f58c5dd2970b3cd9b2779d97a16d93f3e5",
+     "0916ff404467468039a0bb97b9621a58c79c078db942158dd448876e50d64fd1"),
+]
+
+
+@pytest.mark.parametrize("spec, text_sha, pattern_sha", GOLDEN,
+                         ids=[str(g[0]) for g in GOLDEN])
+def test_generated_bytes_are_pinned(spec, text_sha, pattern_sha):
+    n, sigma, m, occ, seed = spec
+    corpus = random_text_with_occurrences(CorpusSpec(n, sigma, m, occ, seed))
+    assert hashlib.sha256(corpus.text).hexdigest() == text_sha
+    assert hashlib.sha256(corpus.pattern).hexdigest() == pattern_sha
+
+
+def test_generator_peak_memory_is_bounded():
+    spec = CorpusSpec(n=2_000_000, sigma=4, m=8, occ=1024, seed=3)
+    tracemalloc.start()
+    try:
+        random_text_with_occurrences(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * spec.n, peak / spec.n
+
+
+# --- the bulk draw: bytes(rng.choices(alphabet, k=k)) in chunks ---
+
+def test_draw_equals_choices_for_every_sigma():
+    ks = (1, 2, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 3 * DRAW_CHUNK + 7)
+    for sigma in range(2, 96):
+        alphabet = alphabet_bytes(sigma)
+        for seed in (sigma, 1000 + sigma, 2 ** 40 + sigma):
+            rng, twin = random.Random(seed), random.Random(seed)
+            for k in ks:
+                assert _draw(rng, alphabet, k) == bytes(
+                    twin.choices(alphabet, k=k)), (sigma, seed, k)
+                assert rng.getstate() == twin.getstate(), (sigma, seed, k)
+
+
+class WordRandom(random.Random):
+    """Serves chosen 32-bit words, in order, to random() and getrandbits()."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words, self.used = words, 0
+
+    def _take(self, count):
+        self.used += count
+        return self.words[self.used - count:self.used]
+
+    def random(self):
+        # CPython's random(): 27 high bits of one word, 26 of the next
+        w0, w1 = self._take(2)
+        return ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * (1.0 / 2 ** 53)
+
+    def getrandbits(self, k):
+        assert k % 32 == 0, k
+        return int.from_bytes(b"".join(
+            w.to_bytes(4, "little") for w in self._take(k // 32)), "little")
+
+
+def boundary_words(sigma):
+    """Draws on each side of every point where choices' index steps up."""
+    words = []
+    for j in range(1, sigma + 1):
+        a0 = ((j << 27) - 1) // sigma  # largest a with a*sigma < j*2**27
+        for a in (a0, a0 + 1):
+            for b in (0, (1 << 26) - 1):
+                for low0, low1 in ((0, 0), (31, 63)):  # bits random() drops
+                    words += [(a << 5 | low0) & 0xFFFFFFFF, b << 6 | low1]
+        exact = -(-(j << 53) // sigma)  # least 53-bit value at or past j/sigma
+        for v in range(exact - 2, min(exact + 2, 1 << 53)):
+            words += [(v >> 26) << 5, (v & ((1 << 26) - 1)) << 6]
+    return words
+
+
+@pytest.mark.parametrize("sigma", [3, 95])
+def test_draw_equals_choices_at_every_index_boundary(sigma):
+    alphabet = alphabet_bytes(sigma)
+    words = boundary_words(sigma)
+    rng, twin = WordRandom(words), WordRandom(words)
+    drawn = _draw(rng, alphabet, len(words) // 2)
+    assert drawn == bytes(twin.choices(alphabet, k=len(words) // 2))
+    assert rng.used == twin.used == len(words)
+    assert set(drawn) == set(alphabet)
+
 # --- sampling ---
 
 def test_sample_patterns_whole_text():
@@ -141,6 +256,17 @@ def test_sample_patterns_validation():
         with pytest.raises(ConfigurationError) as info:
             sample_patterns(b"abcdef", *args)
         assert str(info.value) == message
+
+
+def test_sample_patterns_takes_any_bytes_like_text():
+    class Subclass(bytes):
+        pass
+
+    text = fibonacci_string(12)
+    want = sample_patterns(text, 6, 20, 3)
+    for form in (bytearray(text), memoryview(text), Subclass(text)):
+        got = sample_patterns(form, 6, 20, 3)
+        assert got == want and all(type(p) is bytes for p in got), type(form)
 
 
 # --- files ---

@@ -20,8 +20,8 @@ PACKAGE = pathlib.Path(qgramsearch.__file__).parent
 TESTS = pathlib.Path(__file__).parent
 # the modules whose tests do not need the compiled engine; test_acceptance
 # is left out for its run time (about 20 s)
-MODULES = ("test_matchers", "test_pyengine", "test_hashing", "test_cli",
-           "test_bench", "test_corpus")
+MODULES = ("test_matchers", "test_pyengine", "test_cli", "test_bench",
+           "test_corpus")
 
 
 def test_engine_independent_tests_pass_on_the_python_engine(tmp_path):
