@@ -20,6 +20,9 @@ MAX_SIGMA = 95
 SCRUB_BUDGET_FACTOR = 100
 PLACEMENT_ATTEMPTS = 100
 DRAW_CHUNK = 1 << 12  # draws per getrandbits call in _draw
+# bits 5..31 of each of DRAW_CHUNK 64-bit lanes: the 27 bits random() keeps
+# of a draw's first word
+DRAW_MASK = int.from_bytes(b"\xe0\xff\xff\xff\0\0\0\0" * DRAW_CHUNK, "little")
 
 
 def alphabet_bytes(sigma: int) -> bytes:
@@ -87,36 +90,42 @@ def _draw(rng: random.Random, alphabet: bytes, k: int) -> bytes:
     come from two consecutive Mersenne Twister words, and ``choices`` picks
     ``alphabet[floor(random() * sigma)]``.  ``getrandbits(64*c)`` returns the
     next 2c words with word i at bit 32*i, so 64-bit lane i of that int holds
-    draw i.  With each lane masked to a*32 and the whole int multiplied by
-    sigma (a*32*sigma < 2**39, so no lane carries into the next), byte 4 of
-    lane i is floor(a*sigma / 2**27).  That is the index ``choices`` takes
-    unless b or the float product carries it to the next one, which needs
-    the lane's bits 16..31 all set (about 2**-16 of draws); those draws are
-    recomputed with ``random()``'s own expression.
+    draw i.  With each lane masked to a*32 by ``DRAW_MASK`` (built once, on
+    import) and the whole int multiplied by sigma (a*32*sigma < 2**39, so no
+    lane carries into the next), byte 4 of lane i is floor(a*sigma / 2**27).
+    That is the index ``choices`` takes unless b or the float product carries
+    it to the next one, which needs the lane's bits 16..31 all set (about
+    2**-16 of draws).  Those draws are found by a ``memchr`` search for 0xff
+    in byte 3 of every lane, kept when byte 2 is 0xff too, and recomputed
+    with ``random()``'s own expression.
+
+    >>> _draw(random.Random(1), b"acgt", 9) == bytes(
+    ...     random.Random(1).choices(b"acgt", k=9))
+    True
     """
     sigma = len(alphabet)
     table = alphabet.ljust(256, b"\0")
     parts = []
-    # bits 5..31 of each lane; a shorter last chunk uses its low lanes
-    mask = int.from_bytes(b"\xe0\xff\xff\xff\0\0\0\0" * min(k, DRAW_CHUNK),
-                          "little")
     for start in range(0, k, DRAW_CHUNK):
         c = min(DRAW_CHUNK, k - start)
         words = rng.getrandbits(64 * c)
-        lanes = ((words & mask) * sigma).to_bytes(8 * c, "little")
+        # & keeps the shorter operand's length, so a short chunk needs no mask
+        # of its own
+        lanes = ((words & DRAW_MASK) * sigma).to_bytes(8 * c, "little")
         index = lanes[4::8]
-        pos = lanes.find(b"\xff\xff")
+        top = lanes[3::8]
+        pos = top.find(255)
         if pos != -1:
             index = bytearray(index)
             while pos != -1:
-                if pos % 8 == 2:
-                    lane = words >> (64 * (pos // 8))
+                if lanes[8 * pos + 2] == 255:
+                    lane = words >> (64 * pos)
                     a = (lane & 0xFFFFFFFF) >> 5
                     b = (lane >> 32 & 0xFFFFFFFF) >> 6
-                    index[pos // 8] = floor(
+                    index[pos] = floor(
                         (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
                         * sigma)
-                pos = lanes.find(b"\xff\xff", pos + 1)
+                pos = top.find(255, pos + 1)
         parts.append(index.translate(table))
     return b"".join(parts)
 
@@ -148,11 +157,15 @@ def _place(base: bytes, pattern: bytes, occ: int, rng: random.Random) -> bytes:
     n, m = len(base), len(pattern)
     span = n - occ * m + occ
     zs = sorted(rng.sample(range(span), occ))
-    out = bytearray(base)
+    view = memoryview(base)
+    pieces = []
+    end = 0  # where the previous copy ends
     for idx, z in enumerate(zs):
         s = z + idx * (m - 1)
-        out[s:s + m] = pattern
-    return bytes(out)
+        pieces += (view[end:s], pattern)
+        end = s + m
+    pieces.append(view[end:])
+    return b"".join(pieces)
 
 
 def random_text_with_occurrences(spec: CorpusSpec) -> GeneratedCorpus:
@@ -170,6 +183,7 @@ def random_text_with_occurrences(spec: CorpusSpec) -> GeneratedCorpus:
     text = bytearray(_draw(rng, alphabet, spec.n))
     _scrub(text, pattern, alphabet, rng, SCRUB_BUDGET_FACTOR * spec.n)
     base = bytes(text)
+    del text  # so that base and one candidate are the only text-sized buffers
     if spec.occ == 0:
         return GeneratedCorpus(base, pattern, 0)
     for _ in range(PLACEMENT_ATTEMPTS):
