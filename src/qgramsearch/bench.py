@@ -23,7 +23,7 @@ from time import perf_counter
 
 from .corpus import CorpusSpec, _check_fib_order, alphabet_bytes, \
     fibonacci_string, random_text_with_occurrences, sample_patterns
-from .errors import BenchmarkError, ConfigurationError, _FrozenRecord, \
+from .errors import BenchmarkError, ConfigurationError, _Record, \
     _check_load, _require_ints, load_text
 from .matchers import ALGORITHMS, MATCHERS, SearchStats, clamp_q
 
@@ -47,19 +47,19 @@ def _require_tuple(what: str, value) -> None:
 
 
 # each source, like a BenchSpec, rejects a bad field on construction
-class FileSource(_FrozenRecord):
+class FileSource(_Record):
     def __init__(self, path: str, strip_newlines: bool = False):
         _check_load(path, strip_newlines)  # the checks load_text makes
         self.__dict__.update(path=path, strip_newlines=strip_newlines)
 
 
-class FibonacciSource(_FrozenRecord):
+class FibonacciSource(_Record):
     def __init__(self, k: int):
         _check_fib_order(k)
         self.__dict__.update(k=k)
 
 
-class EmbedSource(_FrozenRecord):
+class EmbedSource(_Record):
     """Random texts with a known number of embedded pattern occurrences."""
 
     def __init__(self, n: int, sigma: int, occs: tuple[int, ...]):
@@ -74,7 +74,7 @@ class EmbedSource(_FrozenRecord):
         self.__dict__.update(n=n, sigma=sigma, occs=occs)
 
 
-class BenchSpec(_FrozenRecord):
+class BenchSpec(_Record):
     """One benchmark run, checked on construction: every rejected setting
     raises :class:`~qgramsearch.errors.ConfigurationError`."""
 
@@ -121,7 +121,7 @@ class BenchSpec(_FrozenRecord):
             trials=trials, seed=seed)
 
 
-class ReportRow(_FrozenRecord):
+class ReportRow(_Record):
     """One measurement cell: an algorithm on one corpus at one (q, m).
 
     Time, counters and occ aggregate over the patterns of the cell; q is 0
@@ -155,11 +155,6 @@ def _measure(algo: str, q: int, text: bytes, pattern: bytes,
     return best, ref
 
 
-def _add_stats(acc: SearchStats, extra: SearchStats) -> SearchStats:
-    return SearchStats(**{name: value + getattr(extra, name)
-                          for name, value in vars(acc).items()})
-
-
 def _measure_cell(spec: BenchSpec, label: str, text: bytes, m: int,
                   patterns: list[bytes]) -> list[ReportRow]:
     # (algo, q) -> [seconds, stats, occurrences], in report order
@@ -176,7 +171,8 @@ def _measure_cell(spec: BenchSpec, label: str, text: bytes, m: int,
                                  spec.repetitions, spec.trials, cell)
             counts[(algo, q)] = len(ref.occurrences)
             cur[0] += best
-            cur[1] = _add_stats(cur[1], ref.stats)
+            cur[1] = SearchStats(**{name: value + getattr(ref.stats, name)
+                                    for name, value in vars(cur[1]).items()})
             cur[2] += len(ref.occurrences)
         if len(set(counts.values())) > 1:
             raise BenchmarkError(

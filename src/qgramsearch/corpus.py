@@ -12,8 +12,8 @@ import random
 import sys
 from math import floor
 
-from .errors import ConfigurationError, GenerationError, _FrozenRecord, \
-    _require_ints
+from .errors import ConfigurationError, GenerationError, _Record, \
+    _as_bytes, _require_ints
 
 MAX_FIB_ORDER = 40
 MAX_SIGMA = 95
@@ -54,7 +54,7 @@ def fibonacci_string(k: int) -> bytes:
     return cur
 
 
-class CorpusSpec(_FrozenRecord):
+class CorpusSpec(_Record):
     """Parameters of one generated random text with embedded occurrences."""
 
     def __init__(self, n: int, sigma: int, m: int, occ: int, seed: int):
@@ -68,7 +68,7 @@ class CorpusSpec(_FrozenRecord):
         self.__dict__.update(n=n, sigma=sigma, m=m, occ=occ, seed=seed)
 
 
-class GeneratedCorpus(_FrozenRecord):
+class GeneratedCorpus(_Record):
     def __init__(self, text: bytes, pattern: bytes, occ: int):
         self.__dict__.update(text=text, pattern=pattern, occ=occ)
 
@@ -197,7 +197,7 @@ def random_text_with_occurrences(spec: CorpusSpec) -> GeneratedCorpus:
 
 def sample_patterns(text: bytes, m: int, count: int, seed: int) -> list[bytes]:
     """``count`` length-m windows of ``text`` at uniform random starts."""
-    t = text if type(text) is bytes else bytes(text)
+    t = text if type(text) is bytes else _as_bytes(text)
     _require_ints("m", m)
     if not 1 <= m <= len(t):
         raise ConfigurationError(

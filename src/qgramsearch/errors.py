@@ -1,6 +1,6 @@
-"""Exception types, the record base classes, the int check shared across
-the package, and its one file reader, ``load_text``, which lives here so
-that a search reads its files without loading the corpus module.
+"""Exception types, the record base, the int and bytes checks shared
+across the package, and its one file reader, ``load_text``, which lives
+here so that a search reads its files without loading the corpus module.
 
 Every rejected input (an empty pattern, a q outside [1, min(m, 8)], a
 hash width other than 8 or 16 bits, a bad CLI or benchmark setting) raises
@@ -37,6 +37,15 @@ def _require_ints(what: str, *values, least: int | None = None) -> None:
             raise ConfigurationError(f"{what} must be >= {least}, got {value}")
 
 
+def _as_bytes(value) -> bytes:
+    """``bytes(value)``, but the compiled engine's ``TypeError`` on an int
+    (a bool counts as one), which ``bytes`` reads as that many zero bytes."""
+    if isinstance(value, int):
+        raise TypeError("a bytes-like object is required, not "
+                        f"{type(value).__name__!r}")
+    return bytes(value)
+
+
 def _check_load(path, strip_newlines) -> str | bytes:
     """``os.fspath(path)``, raising ConfigurationError on a non-path such as
     an int, which ``open`` would take as a file descriptor, and then on a
@@ -60,24 +69,21 @@ def load_text(path, *, strip_newlines: bool = False) -> bytes:
 
 
 class _Record:
-    """Equality (same class only) and repr by field, in ``vars()`` order."""
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) \
-            else NotImplemented
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"{type(self).__name__}({fields})"
-
-
-class _FrozenRecord(_Record):
-    """A record whose fields only ``__init__`` sets; hashed by field."""
+    """Fields that only ``__init__`` sets, through ``self.__dict__``; equal
+    only to its own class; hash and repr by field, in ``vars()`` order."""
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
 
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) \
+            else NotImplemented
+
     def __hash__(self):
         return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"

@@ -31,17 +31,19 @@ is built only when the matcher is called with ``trace=True``; otherwise
 
 A pattern is used as it is when it is ``bytes``; any other form that
 ``bytes()`` takes (bytearray, memoryview, a list of ints, a bytes subclass)
-is converted first.  Untraced kmp, hashq, distq and ldistq searches run the
-compiled searches of ``_engine.c`` (see :mod:`qgramsearch.native`) once the
-pattern and q are validated.  Each builds the same tables from the pattern
-on every call, returns the finished :class:`SearchOutcome` (see ``bind``
-below), and reads the caller's text in place (any C-contiguous bytes-like
-object).  Every traced search, and every search when no compiled engine
-could be loaded, runs the one Python search loop instead: ``_distq_core``,
-which runs kmp and hashq as modes of distq.  It lives in
-:mod:`~qgramsearch.pyengine`, which the searches import only on that
-branch, so an untraced search never compiles it.  The naive oracle, the
-other Python loop, has no compiled twin and is defined here.
+is converted first, but an int, which ``bytes()`` reads as that many zero
+bytes, raises ``TypeError``.  Untraced kmp, hashq, distq and ldistq
+searches run the compiled searches of ``_engine.c`` (see
+:mod:`qgramsearch.native`) once the pattern and q are validated.  Each
+builds the same tables from the pattern on every call, returns the
+finished :class:`SearchOutcome` (see ``bind`` below), and reads the
+caller's text in place (any C-contiguous bytes-like object).  Every traced
+search, and every search when no compiled engine could be loaded, runs the
+one Python search loop instead: ``_distq_core``, which runs kmp and hashq
+as modes of distq.  It lives in :mod:`~qgramsearch.pyengine`, which the
+searches import only on that branch, so an untraced search never compiles
+it.  The naive oracle, the other Python loop, has no compiled twin and is
+defined here.
 
 A shift event is recorded (counted, and traced when asked) only when the
 pattern lands on an alignment that still fits inside the text (the trailing
@@ -51,7 +53,7 @@ Hash-shift events may carry amount 0: the table confirmed the current
 alignment without moving it.
 """
 
-from .errors import ConfigurationError, _FrozenRecord, _Record
+from .errors import ConfigurationError, _Record, _as_bytes
 from .native import engine
 
 MAX_Q = 8
@@ -77,14 +79,14 @@ def clamp_q(q: int, m: int) -> int:
     return min(q, m, MAX_Q)
 
 
-class PatternProfile(_FrozenRecord):
+class PatternProfile(_Record):
     """A pattern, stored as ``bytes``, and its q-gram size, as the
     distance-shift matchers take them once :func:`check_q` accepts them.
     A profile holds no table: the searches build theirs from the pattern."""
 
     def __init__(self, pattern: bytes, q: int):
         if type(pattern) is not bytes:
-            pattern = bytes(pattern)
+            pattern = _as_bytes(pattern)
         if not (type(q) is int and 0 < q <= MAX_Q and q <= len(pattern)):
             check_q(q, len(pattern))
         fields = self.__dict__  # item writes: cheaper than update(**kwargs)
@@ -92,10 +94,7 @@ class PatternProfile(_FrozenRecord):
         fields["q"] = q
 
 
-def build_profile(pattern: bytes, q: int) -> PatternProfile:
-    """The :class:`PatternProfile` of ``pattern`` at q-gram size ``q``: O(m),
-    no table."""
-    return PatternProfile(pattern, q)
+build_profile = PatternProfile  # one class under both public names
 
 
 class SearchStats(_Record):
@@ -114,13 +113,11 @@ class SearchStats(_Record):
     def __init__(self, char_comparisons=0, first_char_checks=0,
                  hashed_char_reads=0, hq_shifts=0, dist_shifts=0,
                  kmp_shifts=0, windows=0):
-        self.char_comparisons = char_comparisons
-        self.first_char_checks = first_char_checks
-        self.hashed_char_reads = hashed_char_reads
-        self.hq_shifts = hq_shifts
-        self.dist_shifts = dist_shifts
-        self.kmp_shifts = kmp_shifts
-        self.windows = windows
+        self.__dict__.update(
+            char_comparisons=char_comparisons,
+            first_char_checks=first_char_checks,
+            hashed_char_reads=hashed_char_reads, hq_shifts=hq_shifts,
+            dist_shifts=dist_shifts, kmp_shifts=kmp_shifts, windows=windows)
 
 
 class SearchTrace(_Record):
@@ -128,15 +125,15 @@ class SearchTrace(_Record):
     positions, and the text positions at which window hashes ended."""
 
     def __init__(self, shifts=None, positions=None, hash_ends=None):
-        self.shifts = [] if shifts is None else shifts
-        self.positions = [] if positions is None else positions
-        self.hash_ends = [] if hash_ends is None else hash_ends
+        self.__dict__.update(shifts=[] if shifts is None else shifts,
+                             positions=[] if positions is None else positions,
+                             hash_ends=[] if hash_ends is None else hash_ends)
 
 
 class SearchOutcome(_Record):
     def __init__(self, occurrences: list[int], stats: SearchStats,
                  trace: SearchTrace | None):  # None unless trace=True
-        self.occurrences, self.stats, self.trace = occurrences, stats, trace
+        self.__dict__.update(occurrences=occurrences, stats=stats, trace=trace)
 
 
 if engine is not None:  # the compiled searches return these records
@@ -149,8 +146,8 @@ def naive_search(text: bytes, pattern: bytes) -> list[int]:
     This is the oracle the other matchers are judged against; it stays one
     obvious comparison per window on purpose.
     """
-    t = bytes(text)
-    p = bytes(pattern)
+    t = text if type(text) is bytes else _as_bytes(text)
+    p = pattern if type(pattern) is bytes else _as_bytes(pattern)
     if not p:
         raise ConfigurationError("pattern must be non-empty")
     m = len(p)
@@ -160,7 +157,7 @@ def naive_search(text: bytes, pattern: bytes) -> list[int]:
 def kmp_search(text: bytes, pattern: bytes,
                trace: bool = False) -> SearchOutcome:
     """Strong-border matcher; at most 2n character comparisons."""
-    p = pattern if type(pattern) is bytes else bytes(pattern)
+    p = pattern if type(pattern) is bytes else _as_bytes(pattern)
     if not p:
         raise ConfigurationError("pattern must be non-empty")
     if engine is not None and not trace:
@@ -178,7 +175,7 @@ def hashq_search(text: bytes, pattern: bytes, q: int,
     right and advanced by a constant precomputed from the first repeat of
     the suffix hash inside the pattern.
     """
-    p = pattern if type(pattern) is bytes else bytes(pattern)
+    p = pattern if type(pattern) is bytes else _as_bytes(pattern)
     if not (type(q) is int and 0 < q <= MAX_Q and q <= len(p)):
         check_q(q, len(p))
     if engine is not None and not trace:
@@ -219,8 +216,8 @@ MATCHERS = {
     "kmp": (lambda text, pattern, q: kmp_search(text, pattern), False),
     "hashq": (hashq_search, True),
     "distq": (lambda text, pattern, q:
-              distq_search(text, build_profile(pattern, q)), True),
+              distq_search(text, PatternProfile(pattern, q)), True),
     "ldistq": (lambda text, pattern, q:
-               ldistq_search(text, build_profile(pattern, q)), True),
+               ldistq_search(text, PatternProfile(pattern, q)), True),
 }
 ALGORITHMS = tuple(MATCHERS)

@@ -38,7 +38,7 @@ takes O(m) memory beyond its occurrences.  It is the reference the
 compiled searches are tested against.
 """
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _as_bytes
 from .matchers import SearchOutcome, SearchStats, SearchTrace, check_q
 
 
@@ -94,7 +94,7 @@ def kmp_shift_table(pattern: bytes) -> list[int]:
     >>> kmp_shift_table(b"aa")[1:]
     [1, 2, 1]
     """
-    pat = bytes(pattern)
+    pat = pattern if type(pattern) is bytes else _as_bytes(pattern)
     m = len(pat)
     if m == 0:
         raise ConfigurationError("pattern must be non-empty")
@@ -146,7 +146,7 @@ def _distq_core(text: bytes, p: bytes, q: int | None, rolling: bool,
     every shift decision is identical in both modes, so distq and ldistq
     produce the same occurrences and the same trace by construction.
     """
-    t = bytes(text)
+    t = text if type(text) is bytes else _as_bytes(text)
     n, m = len(t), len(p)
     log = SearchTrace() if trace else None
     ks = kmp_shift_table(p) if bits == 16 else None

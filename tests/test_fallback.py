@@ -2,10 +2,11 @@
 
 A copy of the package without ``_engine.c`` cannot build the compiled
 engine, so every search there runs the Python loops, as it does wherever
-no C compiler exists.  The engine-independent test modules run against that
-copy in a subprocess, which first checks that it imported the copy and that
-``ENGINE`` reads ``"python"``: as PEP 399 asks of an accelerated module,
-the Python version passes the same tests.
+no C compiler exists.  The test modules that reach a branch on the engine
+(a search that would call the compiled one, or ``matchers.engine`` read
+directly) run against that copy in a subprocess, which first checks that
+it imported the copy and that ``ENGINE`` reads ``"python"``: as PEP 399
+asks of an accelerated module, the Python version passes the same tests.
 """
 
 import os
@@ -18,10 +19,12 @@ import qgramsearch
 
 PACKAGE = pathlib.Path(qgramsearch.__file__).parent
 TESTS = pathlib.Path(__file__).parent
-# the modules whose tests do not need the compiled engine; test_acceptance
-# is left out for its run time (about 20 s)
-MODULES = ("test_matchers", "test_pyengine", "test_cli", "test_bench",
-           "test_corpus")
+# the modules whose tests reach an engine branch and do not need the
+# compiled engine; test_acceptance is left out for its run time (about
+# 20 s).  test_pyengine and test_corpus are not here: they test the Python
+# builders and the generator, which call no compiled search, so this copy
+# would run the very code that the main test run already covers
+MODULES = ("test_matchers", "test_cli", "test_bench")
 
 
 def test_engine_independent_tests_pass_on_the_python_engine(tmp_path):

@@ -13,7 +13,13 @@ in any outcome:
   table-scanning and word-comparison loops) starts on a 64-byte line;
 * the ``asm`` barrier on ``ok`` in distq keeps ``align``'s pair step at 42
   instructions with 3 stack accesses (49 with 6 without it, and distq ran
-  2-5 % slower).
+  2-5 % slower);
+* hashq's pair step, the same step on 8-bit hashes, takes 34 instructions
+  with 4 stack accesses: the ``__builtin_unreachable`` on q keeps a test of
+  q out of it;
+* kmp's mismatch step, from the byte compare back to it, takes 18
+  instructions with none on the stack, of which the last two are a block
+  that only jumps back to the compare.
 
 The pins hold for the compiler and headers they were taken with, so the
 test skips elsewhere.  An engine change that moves a pin updates it in the
@@ -36,7 +42,9 @@ pytestmark = needs_cc
 PINNED_WITH = ("12.2", (3, 11, 7))  # gcc major.minor, CPython
 KMP_LOOP_HEADS = (32, 48, 0, 16, 48, 48)  # offsets mod 64, in address order
 TIGHT = 8  # a tight loop has at most this many instructions
-PAIR_STEP = (42, 3)  # instructions, of which (%rsp) operands
+# instructions, of which (%rsp) operands
+PAIR_STEP = {"distq": (42, 3), "hashq": (34, 4)}
+KMP_MISMATCH_STEP = (18, 0)
 
 JUMP = re.compile(r"j\w+\s+([0-9a-f]+) <")
 PADDING = re.compile(r"(nop|data16|cs nop|xchg\s+%ax,%ax)")
@@ -58,6 +66,39 @@ def disassemble(tmp_path) -> dict:
                 body is not None and not PADDING.match(m.group(2)):
             body.append((int(m.group(1), 16), m.group(2).strip()))
     return functions
+
+
+def successors(code, x, where) -> list:
+    """The indices that instruction ``x`` of ``code`` can pass control to,
+    where ``where`` maps an address to its index."""
+    insn = code[x][1]
+    if insn.startswith("ret"):
+        return []
+    m = JUMP.match(insn)
+    to = [where[int(m.group(1), 16)]] if m and int(m.group(1), 16) in where \
+        else []
+    return to if insn.startswith("jmp") else to + [x + 1]
+
+
+def shortest_path(code, start, goal) -> list:
+    """The fewest instructions that run from index ``start`` until control
+    reaches index ``goal``, which is left out (a breadth-first search)."""
+    where = {address: x for x, (address, _) in enumerate(code)}
+    came, frontier = {start: None}, [start]
+    while frontier and goal not in came:
+        reached = []
+        for x in frontier:
+            for y in successors(code, x, where):
+                if y not in came:
+                    came[y] = x
+                    reached.append(y)
+        frontier = reached
+    assert goal in came, f"no path from {code[start]} to {code[goal]}"
+    path, x = [], came[goal]
+    while x is not None:
+        path.append(code[x])
+        x = came[x]
+    return path[::-1]
 
 
 def loops(code) -> list:
@@ -103,19 +144,56 @@ def test_tight_loops_start_on_a_line(code, search):
     assert [hex(loop[0][0]) for loop in tight if loop[0][0] % 64] == []
 
 
-def test_distq_pair_step_keeps_its_registers(code):
-    # the pair step hashes the next two windows at once: a tight loop of
-    # two byte loads, each folded into its own hash by a lea (h * 4 + byte);
-    # the step is the shortest loop around it, from align's `step` label
-    every = loops(code["distq"])
+def pair_step(code, search) -> list:
+    """The pair step of ``search``: it hashes the next two windows at once,
+    in a tight loop of two byte loads, each folded into its own hash by a
+    lea (h * 4 + byte in distq, h * 2 + byte in hashq); the step is the
+    shortest loop around that one, from align's `step` label."""
+    scale = {"distq": ",4)", "hashq": ",2)"}[search]
+    every = loops(code[search])
     pair = [loop for loop in every if len(loop) <= TIGHT
             and sum(insn.startswith("movzbl") for _, insn in loop) == 2
-            and sum(",4)" in insn for _, insn in loop) == 2]
+            and sum(scale in insn for _, insn in loop) == 2]
     assert len(pair) == 1
     inner = pair[0]
-    step = min((loop for loop in every if len(loop) > len(inner)
+    return min((loop for loop in every if len(loop) > len(inner)
                 and loop[0][0] <= inner[0][0] and inner[-1][0] <= loop[-1][0]),
                key=len)
-    stack = sum("(%rsp)" in insn for _, insn in step)
-    assert (len(step), stack) == PAIR_STEP, "\n".join(
-        f"{address:x}: {insn}" for address, insn in step)
+
+
+def signature(step) -> tuple:
+    """``(instructions, (%rsp) operands)`` of ``step``."""
+    return len(step), sum("(%rsp)" in insn for _, insn in step)
+
+
+def listing(step) -> str:
+    return "\n".join(f"{address:x}: {insn}" for address, insn in step)
+
+
+def test_distq_pair_step_keeps_its_registers(code):
+    step = pair_step(code, "distq")
+    assert signature(step) == PAIR_STEP["distq"], listing(step)
+
+
+def test_hashq_pair_step_keeps_its_registers(code):
+    # without the __builtin_unreachable on q, a test of q enters the step
+    step = pair_step(code, "hashq")
+    assert signature(step) == PAIR_STEP["hashq"], listing(step)
+
+
+def test_kmp_mismatch_step_keeps_its_length(code):
+    # the step after a mismatch at j >= 1: the block of the byte compare
+    # P[j - 1] == T[i - 1] (the one compare of a byte at offset -1), then
+    # the shortest way from its branch's fall-through back to that block,
+    # over the kmp shift and the j == 0 test
+    kmp = code["kmp"]
+    labels = {int(m.group(1), 16) for _, insn in kmp
+              if (m := JUMP.match(insn))}
+    compares = [x for x, (_, insn) in enumerate(kmp)
+                if insn.startswith("cmp") and "-0x1(" in insn]
+    assert len(compares) == 1
+    head = max(x for x in range(compares[0] + 1) if kmp[x][0] in labels)
+    branch = next(x for x in range(compares[0], len(kmp))
+                  if JUMP.match(kmp[x][1]))
+    step = kmp[head:branch + 1] + shortest_path(kmp, branch + 1, head)
+    assert signature(step) == KMP_MISMATCH_STEP, listing(step)

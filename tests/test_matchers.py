@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st, target
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st, target
 from qgramsearch import ConfigurationError, PatternProfile, SearchStats, \
     SearchTrace, build_profile, distq_search, fibonacci_string, \
     hashq_search, kmp_search, kmp_shift_table, ldistq_search, matchers, \
-    naive_search
+    naive_search, sample_patterns
 from qgramsearch.matchers import MATCHERS, check_q
 from qgramsearch.pyengine import hash_tables, qgram_hashes
 from oracles import dist_oracle, hash8_oracle, occurrences_oracle, \
@@ -325,6 +326,32 @@ def test_profile_pattern_is_exact_bytes():
         for prof in (build_profile(form, 3), PatternProfile(form, 3)):
             assert type(prof.pattern) is bytes and prof.pattern == PATTERN
     assert build_profile(PATTERN, 3).pattern is PATTERN
+
+
+SEARCHES = [
+    lambda text, p, trace: naive_search(text, p),
+    lambda text, p, trace: kmp_search(text, p, trace),
+    lambda text, p, trace: hashq_search(text, p, 1, trace),
+    lambda text, p, trace: distq_search(text, PatternProfile(p, 1), trace),
+    lambda text, p, trace: ldistq_search(text, PatternProfile(p, 1), trace),
+]
+
+
+@pytest.mark.parametrize("value", [5, True], ids=["int", "bool"])
+def test_an_int_pattern_or_text_raises_type_error(either_engine, value):
+    # bytes(5) is five zero bytes: no conversion may read an int as those
+    calls = [partial(search, *operands, trace) for search in SEARCHES
+             for operands in ((b"a\0\0\0\0\0b", value), (value, b"\0"))
+             for trace in (False, True)]
+    calls += [partial(PatternProfile, value, 1),
+              partial(kmp_shift_table, value),
+              partial(sample_patterns, value, 1, 1, 0)]
+    name = type(value).__name__
+    for call in calls:
+        with pytest.raises(TypeError) as err:
+            call()
+        assert str(err.value) == \
+            f"a bytes-like object is required, not {name!r}", call
 
 
 @pytest.mark.parametrize("algo", ["hashq", "distq", "ldistq"])
